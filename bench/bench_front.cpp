@@ -1,10 +1,11 @@
 // Serving front-end acceptance bench: an overloaded open-arrival
 // session over the real store + oracle, on the front-end's simulated
 // clock. The headline number is qps-under-SLO — the completed rate the
-// admission machinery sustains while the p99 of answered requests stays
-// inside the tail target — which is a *simulated* rate, deterministic
-// for the configuration below; the wall-clock row measures how fast the
-// simulator itself chews through the session (requests/s of real time).
+// admission machinery sustains, recorded next to whether the p99 of
+// answered requests stayed inside the tail target (front_slo_met, 0/1)
+// — which is a *simulated* rate, deterministic for the configuration
+// below; the wall-clock row measures how fast the simulator itself
+// chews through the session (requests/s of real time).
 //
 // Gates (exit non-zero): the session must shed (the regime is ~8x
 // overload by construction), the p99 of completed requests must meet
@@ -64,7 +65,8 @@ front::TrafficConfig peak_traffic_config() {
 /// The loopback regime: closed-loop clients hammering over real TCP
 /// with per-client token buckets set well below the offered rate, so
 /// the bucket (not the oracle) is the bottleneck — sheds must engage
-/// while the completed rate stays at the buckets' allowance.
+/// while the completed rate stays at the buckets' allowance, 8 x 500
+/// qps.
 front::FrontConfig loopback_front_config() {
   front::FrontConfig config;
   config.client_rate_qps = 500;
@@ -107,8 +109,11 @@ int run_loopback_bench(const serve::Oracle& oracle,
   const std::uint64_t shed = report.server.shed_queue_full +
                              report.server.shed_deadline +
                              report.server.shed_throttled;
-  bench::bench_record_value("front_loopback_qps_under_slo",
-                            report.slo_met ? report.qps : 0.0);
+  // The completed rate is capped by the 8 x 500 qps token buckets, a
+  // configured limit: it measures admission, not serving capacity.
+  bench::bench_record_value("front_loopback_qps_under_slo", report.qps);
+  bench::bench_record_value("front_loopback_slo_met",
+                            report.slo_met ? 1.0 : 0.0);
   bench::bench_record_value("front_loopback_p99_ms", report.p99_ms);
   bench::bench_record_value(
       "front_loopback_shed_fraction",
@@ -195,8 +200,8 @@ int main(int argc, char** argv) {
   // Simulated session throughput vs how fast the simulator ran it.
   bench::bench_record("front_session", wall_s,
                       static_cast<double>(report.sent));
-  bench::bench_record_value("front_qps_under_slo",
-                            report.slo_met ? report.qps : 0.0);
+  bench::bench_record_value("front_qps_under_slo", report.qps);
+  bench::bench_record_value("front_slo_met", report.slo_met ? 1.0 : 0.0);
   bench::bench_record_value("front_p99_ms", report.p99_ms);
   // Fraction of request *attempts* (retries included) the admission
   // machinery turned away.

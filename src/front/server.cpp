@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "front/transport/clock.hpp"
 #include "obs/metrics.hpp"
 
 namespace shears::front {
@@ -206,7 +207,7 @@ std::optional<SimTime> FrontServer::next_batch_close() const {
   return close;
 }
 
-void FrontServer::run_batch(SimTime close) {
+void FrontServer::run_batch(SimTime close, Clock* clock) {
   // Requests already past their deadline at the close expire without
   // costing oracle compute or a batch slot. Sweeping them *before*
   // selection matters under sustained overload: left in place they
@@ -311,11 +312,9 @@ void FrontServer::run_batch(SimTime close) {
   for (const Pending& p : batch) live.push_back(&p);
 
   stats_.batches += 1;
-  const SimTime service_us =
+  const SimTime modelled_us =
       config_.batch_overhead_us +
       static_cast<SimTime>(live.size()) * config_.per_query_us;
-  const SimTime completion = close + service_us;
-  busy_until_ = completion;
   note_queue_depth();
 
   std::vector<serve::Query> queries;
@@ -333,6 +332,12 @@ void FrontServer::run_batch(SimTime close) {
     }
     status = oracle_->try_answer(queries, answers);
   }
+  // Modelled on the simulated clock; measured (refresh included) on the
+  // wall clock.
+  const SimTime completion = clock != nullptr
+                                 ? clock->batch_done(close, modelled_us)
+                                 : close + modelled_us;
+  busy_until_ = completion;
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     const Pending& p = *live[i];
@@ -361,11 +366,11 @@ void FrontServer::run_batch(SimTime close) {
   }
 }
 
-void FrontServer::run_until(SimTime now) {
+void FrontServer::run_until(SimTime now, Clock* clock) {
   while (true) {
     const std::optional<SimTime> close = next_batch_close();
     if (!close.has_value() || *close > now) break;
-    run_batch(*close);
+    run_batch(*close, clock);
   }
 }
 

@@ -1,5 +1,5 @@
-// The serving front-end: a deterministic, simulated-clock session layer
-// in front of serve::Oracle.
+// The serving front-end: a session layer in front of serve::Oracle,
+// deterministic on its simulated clock.
 //
 // The batched oracle answers microsecond queries, but only for callers
 // already inside the process. This server gives it the shape of a
@@ -22,12 +22,16 @@
 //     refreshes and retries (OracleConfig::auto_refresh semantics)
 //     instead of dying — the recoverable half of the kStale status.
 //
-// Determinism contract: the session layer runs on a simulated clock
-// (integer microseconds) and a single logical event loop. Service time
-// is a deterministic model (batch_overhead_us + per_query_us × n), not
-// wall time, so queue depths, shed counts and latency percentiles are
+// Determinism contract: the session layer runs on integer-microsecond
+// timestamps and a single logical event loop. On the simulated clock (no
+// Clock passed to run_until, or a ManualClock) a batch's service time is
+// a deterministic model (batch_overhead_us + per_query_us × n), not wall
+// time, so queue depths, shed counts and latency percentiles are
 // byte-identical across machines and oracle thread counts — the soak
-// test pins 1 vs 8 threads.
+// test pins 1 vs 8 threads. On the wall clock (MonotonicClock) a batch
+// completes when the oracle has answered it, and its responses are
+// released then. The admission shed and EDF batch sizing are estimates
+// made before service, so they use the model on either clock.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +52,8 @@ class MetricsRegistry;
 
 namespace shears::front {
 
+class Clock;
+
 struct FrontConfig {
   /// Bounded admission queue; arrivals beyond this shed kOverloaded.
   std::size_t queue_capacity = 1024;
@@ -60,8 +66,9 @@ struct FrontConfig {
   /// cuts the linger short).
   std::size_t max_batch = 256;
   SimTime batch_linger_us = 0;
-  /// Deterministic service-time model: a batch of n queries occupies the
-  /// executor for batch_overhead_us + n * per_query_us.
+  /// Service-time model: a batch of n queries occupies the executor for
+  /// batch_overhead_us + n * per_query_us. It is the service time on the
+  /// simulated clock, and the admission/batch-sizing estimate on both.
   SimTime batch_overhead_us = 100;
   SimTime per_query_us = 2;
   /// Deadline stamped on requests that carry none; 0 = none.
@@ -118,8 +125,10 @@ class FrontServer {
   /// differential transport tests.
   void ingest(ConnId conn, std::span<const std::uint8_t> bytes, SimTime now);
 
-  /// Runs every batch whose formation closes at or before `now`.
-  void run_until(SimTime now);
+  /// Runs every batch whose formation closes at or before `now`. `clock`
+  /// (nullable) decides when each batch is done (Clock::batch_done);
+  /// without one the service model does, as on a ManualClock.
+  void run_until(SimTime now, Clock* clock = nullptr);
 
   /// Earliest sim time at which the server has something to deliver or
   /// do: a pending output frame, or the close of the next batch.
@@ -179,7 +188,7 @@ class FrontServer {
   /// Close time of the next batch given the queue head; nullopt when
   /// the queue is empty.
   [[nodiscard]] std::optional<SimTime> next_batch_close() const;
-  void run_batch(SimTime close);
+  void run_batch(SimTime close, Clock* clock);
   void note_queue_depth();
 
   const serve::Oracle* oracle_;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <limits>
 #include <span>
 
@@ -80,6 +81,7 @@ SocketServer::SocketServer(FrontServer* server, Clock* clock,
                            TransportConfig config)
     : server_(server), clock_(clock), config_(config) {
   config_.validate();
+  read_buf_.resize(config_.read_chunk);
 }
 
 SocketServer::~SocketServer() {
@@ -198,10 +200,9 @@ void SocketServer::accept_ready() {
 void SocketServer::read_ready(int fd) {
   Peer& peer = peer_of(fd);
   if (!peer.open) return;
-  std::vector<std::uint8_t> chunk(config_.read_chunk);
   // Edge-triggered: drain the socket completely or the event is lost.
   while (true) {
-    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    const ssize_t n = ::read(fd, read_buf_.data(), read_buf_.size());
     if (n > 0) {
       const SimTime now = clock_->now();
       peer.last_read_us = now;
@@ -210,7 +211,7 @@ void SocketServer::read_ready(int fd) {
       // (pump_session), never to TCP segmentation.
       server_->ingest(
           peer.conn,
-          std::span<const std::uint8_t>(chunk.data(),
+          std::span<const std::uint8_t>(read_buf_.data(),
                                         static_cast<std::size_t>(n)),
           now);
       continue;
@@ -328,8 +329,10 @@ void SocketServer::discard_dead_outputs() {
 }
 
 void SocketServer::pump_session() {
+  server_->run_until(clock_->now(), clock_);
+  // Read the clock again: on wall time a batch run above completes after
+  // the first reading, and its frames go out in this same pump.
   const SimTime now = clock_->now();
-  server_->run_until(now);
   for (Peer& peer : peers_) {
     if (!peer.open) continue;
     std::vector<std::uint8_t> bytes = server_->take_output(peer.conn, now);
@@ -351,7 +354,7 @@ bool SocketServer::drained() const {
   return true;
 }
 
-int SocketServer::wait_ms(SimTime max_wait_us) {
+SimTime SocketServer::wait_us(SimTime max_wait_us) {
   SimTime wait = max_wait_us;
   const SimTime now = clock_->now();
   if (config_.auto_pump) {
@@ -366,19 +369,20 @@ int SocketServer::wait_ms(SimTime max_wait_us) {
       wait = std::min(wait, deadline > now ? deadline - now : 0);
     }
   }
-  // Round up so a 1 us wait does not busy-spin as timeout 0.
-  const SimTime ms = wait == 0 ? 0 : (wait + 999) / 1000;
-  return static_cast<int>(std::min<SimTime>(ms, 60'000));
+  return std::min<SimTime>(wait, 60'000'000);
 }
 
 int SocketServer::poll(SimTime max_wait_us) {
   ensure_open();
   if (drain_requested_.load(std::memory_order_acquire)) close_listener();
 
+  const SimTime wait = wait_us(max_wait_us);
+  const timespec timeout{static_cast<time_t>(wait / 1'000'000),
+                         static_cast<long>(wait % 1'000'000) * 1'000};
   epoll_event events[64];
-  int n = ::epoll_wait(epoll_fd_, events, 64, wait_ms(max_wait_us));
+  int n = ::epoll_pwait2(epoll_fd_, events, 64, &timeout, nullptr);
   if (n < 0) {
-    if (errno != EINTR) throw_errno("epoll_wait");
+    if (errno != EINTR) throw_errno("epoll_pwait2");
     n = 0;
   }
   for (int i = 0; i < n; ++i) {

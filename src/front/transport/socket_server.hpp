@@ -22,7 +22,9 @@
 //
 // Clock discipline: all timestamps handed to the session layer come
 // from the Clock seam. With a MonotonicClock this is a production
-// server; with a ManualClock the *differential tests* replay a recorded
+// server: a batch's responses are written by the poll() that ran it, as
+// soon as the oracle has answered. With a ManualClock the *differential
+// tests* replay a recorded
 // request stream at exact timestamps and compare the socket path's
 // responses byte-for-byte against the simulated transport — TCP
 // delivery jitter cannot perturb the session layer's decisions because
@@ -116,14 +118,16 @@ class SocketServer {
   ConnId adopt(int fd, std::uint64_t client_id);
 
   /// One event-loop iteration: waits up to `max_wait_us` for socket
-  /// events (less when the session layer has earlier work), handles
-  /// accepts/reads/writes/timeouts, and — in auto_pump mode — pumps the
-  /// session layer. Returns the number of fd events handled.
+  /// events (less when the session layer has earlier work) at
+  /// microsecond resolution, handles accepts/reads/writes/timeouts, and
+  /// — in auto_pump mode — pumps the session layer. Returns the number
+  /// of fd events handled.
   int poll(SimTime max_wait_us);
 
-  /// Runs batches due by clock->now(), collects server→client frames
-  /// into per-connection write buffers, and flushes as far as the
-  /// sockets accept. Called by poll() unless auto_pump is off.
+  /// Runs batches due by clock->now() (the clock decides when each is
+  /// done), collects server→client frames ready at a fresh
+  /// clock->now() into per-connection write buffers, and flushes as far
+  /// as the sockets accept. Called by poll() unless auto_pump is off.
   void pump_session();
 
   /// Loops poll() until request_stop(), or until a requested drain
@@ -170,7 +174,8 @@ class SocketServer {
   /// Discards session output queued for connections that no longer
   /// exist, so drained() converges after disconnects.
   void discard_dead_outputs();
-  [[nodiscard]] int wait_ms(SimTime max_wait_us);
+  /// How long the next epoll_pwait2 may sleep, in microseconds.
+  [[nodiscard]] SimTime wait_us(SimTime max_wait_us);
 
   FrontServer* server_;
   Clock* clock_;
@@ -180,6 +185,7 @@ class SocketServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<Peer> peers_;  ///< indexed by fd
+  std::vector<std::uint8_t> read_buf_;  ///< read_chunk bytes, reused
   std::vector<ConnId> dead_conns_;
   std::size_t open_connections_ = 0;
   std::uint64_t next_client_id_ = 0;  ///< accept-order fairness ids

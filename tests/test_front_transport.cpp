@@ -4,7 +4,8 @@
 // 8), under byte-stream torture (1-byte dribble, tiny-SO_SNDBUF partial
 // writes), and against malicious peers (oversized lengths, corrupted
 // magic, slowloris trickle, abrupt RST) — each attack confined to its
-// own connection.
+// own connection. On the wall clock, responses must leave in the poll()
+// that ran their batch and an idle poll() must wait microseconds.
 //
 // Every test that needs a kernel socket probes for the capability first
 // and skips (never fails) where the sandbox lacks socket(2).
@@ -12,6 +13,8 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,6 +29,7 @@
 #include "front/transport/clock.hpp"
 #include "front/transport/socket_server.hpp"
 #include "geo/country.hpp"
+#include "obs/metrics.hpp"
 #include "serve/columnar.hpp"
 #include "serve/oracle.hpp"
 #include "topology/registry.hpp"
@@ -719,6 +723,68 @@ TEST(FrontTransportMalicious, AbruptResetIsConfinedToOneConnection) {
     got.insert(got.end(), raw.begin(), raw.end());
   }
   EXPECT_EQ(count_errors(got, ErrorCode::kBadRequest), 0u);
+}
+
+// --------------------------------------------------------- wall clock
+
+TEST(FrontTransport, WallClockReleasesResponseInTheIngestingPoll) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  obs::MetricsRegistry metrics;
+  server.attach_metrics(&metrics);
+  MonotonicClock clock;
+  SocketServer transport(&server, &clock, TransportConfig{});
+  const std::uint16_t port = transport.listen();
+
+  BlockingClient peer;
+  peer.connect(port);
+  poll_until(
+      transport, [&] { return transport.connection_count() == 1; }, "accept");
+  if (HasFatalFailure()) return;
+
+  // No modelled hold on the wall clock: the poll() that reads the
+  // request runs its batch and writes the response before returning.
+  const auto request = request_bytes(1, 0, "DE");
+  peer.send(request);
+  for (int spin = 0; transport.stats().bytes_in < request.size(); ++spin) {
+    ASSERT_LT(spin, 10'000) << "request never arrived";
+    (void)transport.poll(1'000);
+  }
+  EXPECT_GT(transport.stats().bytes_out, 0u);
+  EXPECT_EQ(server.stats().answered, 1u);
+
+  const obs::LatencyHistogram::Summary service =
+      metrics.histogram("front.service_ms").summary();
+  EXPECT_EQ(service.count, 1u);
+  EXPECT_LT(service.max_ms, 1.0);
+
+  std::vector<std::uint8_t> got;
+  while (count_frames(got, FrameType::kResponse) < 1) {
+    const auto raw = peer.recv_some(2'000);
+    ASSERT_FALSE(raw.empty()) << "no response";
+    got.insert(got.end(), raw.begin(), raw.end());
+  }
+}
+
+TEST(FrontTransport, IdlePollWaitsMicrosecondsNotWholeMilliseconds) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  MonotonicClock clock;
+  SocketServer transport(&server, &clock, TransportConfig{});
+  (void)transport.listen();
+
+  std::vector<double> waits_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)transport.poll(300);
+    waits_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(waits_ms.begin(), waits_ms.begin() + 10, waits_ms.end());
+  EXPECT_LT(waits_ms[10], 1.0) << "a 300 us wait rounded up to a millisecond";
 }
 
 // --------------------------------------------------------------- drain
