@@ -416,7 +416,7 @@ void check_spatial_index(std::span<const geo::GeoPoint> points,
   }
 }
 
-void check_oracle_vs_fullscan(const World& world,
+void check_oracle_vs_fullscan(Gen& gen, const World& world,
                               const atlas::MeasurementDataset& dataset,
                               std::span<const serve::Query> queries) {
   const serve::ReferenceOracle reference(&dataset);
@@ -440,17 +440,25 @@ void check_oracle_vs_fullscan(const World& world,
       serve::ColumnarStore::build(dataset, serve::StoreConfig{1});
   require_answers(one_shot, 1, "one-shot build, 1 thread");
 
-  // Chunked appends with a mid-stream refresh, 8 build threads, 8 query
-  // threads — every knob the determinism contract covers at once.
+  // Chunked appends cut at 1-16 generated points with a refresh after
+  // every chunk, 8 build threads, 8 query threads — every knob the
+  // determinism contract covers at once.
   serve::ColumnarStore chunked(&dataset.fleet(), &dataset.registry(),
                                serve::StoreConfig{8});
   const std::span<const atlas::Measurement> rows = dataset.records();
-  const std::size_t third = rows.size() / 3;
-  chunked.append(rows.subspan(0, third));
-  chunked.refresh();
-  chunked.append(rows.subspan(third));
-  chunked.refresh();
-  require_answers(chunked, 8, "chunked build, 8 threads");
+  std::vector<std::size_t> cuts(static_cast<std::size_t>(gen.int_in(1, 16)));
+  for (std::size_t& cut : cuts) cut = gen.below(rows.size() + 1);
+  cuts.push_back(rows.size());
+  std::sort(cuts.begin(), cuts.end());
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    chunked.append(rows.subspan(from, cut - from));
+    chunked.refresh();
+    from = cut;
+  }
+  require_answers(chunked, 8,
+                  "chunked build (" + std::to_string(cuts.size()) +
+                      " chunks), 8 threads");
 }
 
 void check_snapshot_roundtrip(const World& world,

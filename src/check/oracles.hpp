@@ -56,9 +56,10 @@ void check_spatial_index(std::span<const geo::GeoPoint> points,
 
 /// serve::Oracle over a columnar store vs the full-scan
 /// serve::ReferenceOracle: answers must be byte-identical for every
-/// store build path (one-shot vs chunked appends, build threads 1 vs 8)
+/// store build path (one-shot vs appends cut at 1-16 points drawn from
+/// `gen`, each followed by an incremental refresh; build threads 1 vs 8)
 /// and every query fan-out (oracle threads 1 vs 8).
-void check_oracle_vs_fullscan(const World& world,
+void check_oracle_vs_fullscan(Gen& gen, const World& world,
                               const atlas::MeasurementDataset& dataset,
                               std::span<const serve::Query> queries);
 

@@ -35,6 +35,14 @@ constexpr std::uint64_t kMaxShardRows = 0xffffffffu;
   return std::max<std::size_t>(1, std::min(n, items));
 }
 
+/// Fills a cell's scalars from its (non-empty) Ecdf.
+void summarise(RegionStats& cell) {
+  cell.count = cell.ecdf.size();
+  cell.min_ms = cell.ecdf.min();
+  cell.median_ms = cell.ecdf.quantile(0.5);
+  cell.p95_ms = cell.ecdf.quantile(0.95);
+}
+
 }  // namespace
 
 std::size_t country_index_of(const geo::Country* country) {
@@ -64,7 +72,6 @@ ColumnarStore::ColumnarStore(const atlas::ProbeFleet* fleet,
   }
   groups_.resize(geo::country_count() * net::kAccessTechnologyCount);
   country_stats_.resize(geo::country_count());
-  country_dirty_.assign(geo::country_count(), false);
 }
 
 ColumnarStore ColumnarStore::build(const atlas::MeasurementDataset& dataset,
@@ -172,8 +179,6 @@ void ColumnarStore::append(std::span<const atlas::Measurement> rows) {
     group.region_index.resize(grown);
     group.ticks.resize(grown);
     group.rtt_ms.resize(grown);
-    group.dirty = true;
-    country_dirty_[key / net::kAccessTechnologyCount] = true;
     appended += total;
   }
 
@@ -207,46 +212,70 @@ void ColumnarStore::append(std::span<const atlas::Measurement> rows) {
 
 void ColumnarStore::refresh_group(KeyGroup& group) {
   const std::size_t regions = registry_->size();
+  const std::size_t begin = group.summarised;
+  const std::size_t end = group.rtt_ms.size();
+
+  // Bucket the rows the summaries do not cover yet, each region's bucket
+  // sized exactly by a count pass (a cell keeps its vector for the life
+  // of the store, so growth slack would be resident memory).
+  std::vector<std::uint32_t> counts(regions, 0);
+  for (std::size_t i = begin; i < end; ++i) ++counts[group.region_index[i]];
   std::vector<std::vector<double>> samples(regions);
-  for (std::size_t i = 0; i < group.rtt_ms.size(); ++i) {
+  for (std::size_t r = 0; r < regions; ++r) samples[r].reserve(counts[r]);
+  for (std::size_t i = begin; i < end; ++i) {
     samples[group.region_index[i]].push_back(
         static_cast<double>(group.rtt_ms[i]));
   }
-  group.stats.assign(regions, RegionStats{});
+
+  if (group.stats.empty()) group.stats.resize(regions);
   for (std::size_t r = 0; r < regions; ++r) {
     if (samples[r].empty()) continue;
     std::sort(samples[r].begin(), samples[r].end());
+    stats::Ecdf fresh = stats::Ecdf::from_sorted(std::move(samples[r]));
     RegionStats& cell = group.stats[r];
-    cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
-    cell.count = cell.ecdf.size();
-    cell.min_ms = cell.ecdf.min();
-    cell.median_ms = cell.ecdf.quantile(0.5);
-    cell.p95_ms = cell.ecdf.quantile(0.95);
+    KeyGroup::Fold& fold =
+        group.folded.emplace_back(static_cast<std::uint16_t>(r));
+    if (cell.empty()) {
+      // All-new cell: the rollup reads the cell itself as the delta.
+      cell.ecdf = std::move(fresh);
+    } else {
+      const std::array<const stats::Ecdf*, 2> parts{&fresh, &cell.ecdf};
+      cell.ecdf = stats::Ecdf::merged(parts);
+      fold.delta = std::move(fresh);
+    }
+    summarise(cell);
   }
-  group.dirty = false;
+  group.summarised = end;
 }
 
 void ColumnarStore::refresh_country(std::size_t country_idx) {
+  constexpr std::size_t kAccess = net::kAccessTechnologyCount;
   const std::size_t regions = registry_->size();
   std::vector<RegionStats>& rollup = country_stats_[country_idx];
-  rollup.assign(regions, RegionStats{});
-  for (std::size_t r = 0; r < regions; ++r) {
-    std::array<const stats::Ecdf*, net::kAccessTechnologyCount> parts{};
-    std::size_t used = 0;
-    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
-      const KeyGroup& group =
-          groups_[country_idx * net::kAccessTechnologyCount + a];
-      if (group.stats.empty() || group.stats[r].empty()) continue;
-      parts[used++] = &group.stats[r].ecdf;
+  if (rollup.empty()) rollup.resize(regions);
+
+  // Per region: the new samples of each access shard that folded rows
+  // into it (null: none), then the old rollup cell (skipped while empty).
+  std::vector<std::array<const stats::Ecdf*, kAccess + 1>> parts(regions);
+  std::vector<bool> touched(regions, false);
+  for (std::size_t a = 0; a < kAccess; ++a) {
+    const KeyGroup& group = groups_[country_idx * kAccess + a];
+    for (const KeyGroup::Fold& fold : group.folded) {
+      parts[fold.region][a] = fold.delta.empty()
+                                  ? &group.stats[fold.region].ecdf
+                                  : &fold.delta;
+      touched[fold.region] = true;
     }
-    if (used == 0) continue;
+  }
+  for (std::size_t r = 0; r < regions; ++r) {
+    if (!touched[r]) continue;
     RegionStats& cell = rollup[r];
-    cell.ecdf = stats::Ecdf::merged(
-        std::span<const stats::Ecdf* const>(parts.data(), used));
-    cell.count = cell.ecdf.size();
-    cell.min_ms = cell.ecdf.min();
-    cell.median_ms = cell.ecdf.quantile(0.5);
-    cell.p95_ms = cell.ecdf.quantile(0.95);
+    parts[r][kAccess] = &cell.ecdf;
+    cell.ecdf = stats::Ecdf::merged(parts[r]);
+    summarise(cell);
+  }
+  for (std::size_t a = 0; a < kAccess; ++a) {
+    groups_[country_idx * kAccess + a].folded = {};
   }
 }
 
@@ -254,9 +283,24 @@ void ColumnarStore::refresh() {
   if (fresh_) return;
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::uint32_t> dirty;
+  std::vector<std::uint32_t> dirty_countries;
+  std::size_t folded_rows = 0;
   for (std::uint32_t key = 0; key < key_count(); ++key) {
-    if (groups_[key].dirty) dirty.push_back(key);
+    const KeyGroup& group = groups_[key];
+    if (group.summarised == group.rtt_ms.size()) continue;
+    dirty.push_back(key);
+    folded_rows += group.rtt_ms.size() - group.summarised;
+    const auto country =
+        static_cast<std::uint32_t>(key / net::kAccessTechnologyCount);
+    if (dirty_countries.empty() || dirty_countries.back() != country) {
+      dirty_countries.push_back(country);
+    }
   }
+
+  // Phase 1 folds each dirty shard's new rows into its cells; phase 2
+  // folds the resulting per-region deltas into the country rollups. The
+  // join between them hands every KeyGroup from its shard worker to the
+  // one worker that owns its country.
   const std::size_t threads = heavy_threads(config_.threads, dirty.size());
   core::parallel_shards(dirty.size(), threads,
                         [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -264,11 +308,6 @@ void ColumnarStore::refresh() {
       refresh_group(groups_[dirty[i]]);
     }
   });
-
-  std::vector<std::uint32_t> dirty_countries;
-  for (std::uint32_t c = 0; c < country_dirty_.size(); ++c) {
-    if (country_dirty_[c]) dirty_countries.push_back(c);
-  }
   const std::size_t country_threads =
       heavy_threads(config_.threads, dirty_countries.size());
   core::parallel_shards(dirty_countries.size(), country_threads,
@@ -277,11 +316,11 @@ void ColumnarStore::refresh() {
       refresh_country(dirty_countries[i]);
     }
   });
-  country_dirty_.assign(country_dirty_.size(), false);
   fresh_ = true;
 
   if (metrics_ != nullptr) {
     metrics_->counter("serve.store.refreshed_shards").add(dirty.size());
+    metrics_->counter("serve.store.refreshed_rows").add(folded_rows);
     metrics_->histogram("serve.store.refresh_ms")
         .record(std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)

@@ -20,11 +20,15 @@
 //   * Lost bursts (received == 0) and rows from privileged probes
 //     (datacentre/cloud placement, excluded from every §4 analysis)
 //     are dropped at the door and only counted.
-//   * Summaries are recomputed lazily: append() marks shards dirty,
-//     refresh() rebuilds exactly the dirty ones (in parallel). Because a
-//     summary is a pure function of its shard's sample multiset, a store
-//     built from N+M rows at once and one built from N then appended M
-//     answer identically.
+//   * Summaries are refreshed lazily and incrementally: each shard
+//     records how many of its rows its summaries cover, and refresh()
+//     folds in only the rows appended since (in parallel) — it sorts
+//     each region's new samples and merges them into the sorted cell,
+//     then merges the same deltas into the touched country rollup
+//     cells. Because a sorted sample is a pure function of its
+//     multiset, a store built from N+M rows at once and one built from
+//     N then appended M hold identical cells, scalars and snapshot
+//     bytes.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +107,9 @@ class ColumnarStore final : public atlas::MeasurementSink {
     append(rows);
   }
 
-  /// Rebuilds the summaries of every dirty shard and country rollup.
-  /// Idempotent and cheap when nothing changed.
+  /// Folds every row appended since the last refresh into the shard
+  /// summaries and country rollups; work scales with the rows appended,
+  /// not the rows stored. Idempotent and cheap when nothing changed.
   void refresh();
 
   /// True when every summary reflects every appended row.
@@ -186,8 +191,12 @@ class ColumnarStore final : public atlas::MeasurementSink {
   }
 
   /// Publishes serve.store.* counters (rows, dropped, appends, refreshed
-  /// shards) and the serve.store.refresh_ms histogram. Observational
-  /// only; nullptr detaches. `metrics` must outlive the store.
+  /// shards, refreshed rows) and the serve.store.refresh_ms histogram.
+  /// serve.store.refreshed_rows counts the rows each refresh() folded
+  /// in, so on a store watched from empty it tracks rows_stored() once
+  /// fresh — refresh work is proportional to what was appended.
+  /// Observational only; nullptr detaches. `metrics` must outlive the
+  /// store.
   void attach_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -201,9 +210,21 @@ class ColumnarStore final : public atlas::MeasurementSink {
     std::vector<std::uint16_t> region_index;
     std::vector<std::uint32_t> ticks;
     std::vector<float> rtt_ms;
-    /// Dense by region index; rebuilt by refresh() when dirty.
+    /// Dense by region index (empty until the first refresh()).
     std::vector<RegionStats> stats;
-    bool dirty = false;
+    /// Rows [0, summarised) are folded into `stats`; the shard is dirty
+    /// while rows remain past it.
+    std::size_t summarised = 0;
+    /// A region the last refresh_group() folded rows into, with its new
+    /// samples when the cell already held some. When the cell was empty,
+    /// `delta` stays empty and the cell itself is the delta.
+    struct Fold {
+      std::uint16_t region = 0;
+      stats::Ecdf delta;
+    };
+    /// Handed from refresh()'s shard phase to its country phase, which
+    /// merges the deltas into the rollup and clears the list.
+    std::vector<Fold> folded;
   };
 
   [[nodiscard]] std::size_t key_count() const noexcept {
@@ -221,7 +242,6 @@ class ColumnarStore final : public atlas::MeasurementSink {
   std::vector<KeyGroup> groups_;  ///< dense key universe
   /// Country rollups, dense by (country index, region index).
   std::vector<std::vector<RegionStats>> country_stats_;
-  std::vector<bool> country_dirty_;
   std::size_t rows_stored_ = 0;
   std::size_t rows_dropped_ = 0;
   bool fresh_ = true;

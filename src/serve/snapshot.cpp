@@ -23,7 +23,8 @@ static_assert(std::endian::native == std::endian::little,
 
 /// The one door into ColumnarStore's representation (befriended in
 /// columnar.hpp): snapshot save reads the raw columns and counters,
-/// load writes them back and marks the rebuilt shards dirty.
+/// load writes them back (a restored shard's summaries cover none of
+/// its rows yet, so the next refresh() rebuilds them).
 struct SnapshotAccess {
   using KeyGroup = ColumnarStore::KeyGroup;
 
@@ -37,9 +38,6 @@ struct SnapshotAccess {
   static const std::vector<std::vector<RegionStats>>& country_stats(
       const ColumnarStore& s) {
     return s.country_stats_;
-  }
-  static std::vector<bool>& country_dirty(ColumnarStore& s) {
-    return s.country_dirty_;
   }
   static void set_counters(ColumnarStore& s, std::size_t stored,
                            std::size_t dropped) {
@@ -367,7 +365,7 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
   ColumnarStore store(fleet, registry, config);
   auto& groups = SnapshotAccess::groups(store);
   const auto& probe_key = SnapshotAccess::probe_key(store);
-  auto& country_dirty = SnapshotAccess::country_dirty(store);
+  std::vector<bool> country_has_shards(geo::country_count(), false);
   const std::size_t regions = registry->size();
 
   io::BlockReader reader(bytes, kSnapshotTag, "snapshot");
@@ -504,8 +502,7 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
                             ": non-finite or negative RTT");
       }
     }
-    group.dirty = true;
-    country_dirty[key / net::kAccessTechnologyCount] = true;
+    country_has_shards[key / net::kAccessTechnologyCount] = true;
     total_rows += n;
 
     block = reader.next();
@@ -548,7 +545,7 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
       throw SnapshotError("snapshot: duplicate rollup for country " +
                           std::to_string(country));
     }
-    if (!country_dirty[country]) {
+    if (!country_has_shards[country]) {
       throw SnapshotError("snapshot: rollup for country " +
                           std::to_string(country) + " which has no shards");
     }
@@ -562,8 +559,8 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
                         " rollup blocks but META records " +
                         std::to_string(rollup_count));
   }
-  for (std::size_t c = 0; c < country_dirty.size(); ++c) {
-    if (country_dirty[c] && !rollup_seen[c]) {
+  for (std::size_t c = 0; c < country_has_shards.size(); ++c) {
+    if (country_has_shards[c] && !rollup_seen[c]) {
       throw SnapshotError("snapshot: country " + std::to_string(c) +
                           " has shards but no rollup block");
     }

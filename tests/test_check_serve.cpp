@@ -45,7 +45,7 @@ TEST(ServeProperty, OracleMatchesFullScanReference) {
         const atlas::MeasurementDataset dataset = world.run();
         const std::vector<serve::Query> queries =
             make_queries(gen, world, 32);
-        check_oracle_vs_fullscan(world, dataset, queries);
+        check_oracle_vs_fullscan(gen, world, dataset, queries);
       },
       8);
   EXPECT_TRUE(result.passed) << result.banner;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,9 +21,11 @@
 #include "geo/country.hpp"
 #include "geo/spatial_index.hpp"
 #include "net/latency_model.hpp"
+#include "obs/metrics.hpp"
 #include "serve/columnar.hpp"
 #include "serve/oracle.hpp"
 #include "serve/reference.hpp"
+#include "serve/snapshot.hpp"
 #include "topology/registry.hpp"
 
 namespace shears::serve {
@@ -243,6 +247,30 @@ TEST(ColumnarStore, UnresolvableRowThrows) {
       std::invalid_argument);
 }
 
+/// Bit-level equality of two summary tables: the four scalars and every
+/// sample of every cell's sorted Ecdf.
+void expect_same_cells(std::span<const RegionStats> a,
+                       std::span<const RegionStats> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].count, b[r].count);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[r].min_ms),
+              std::bit_cast<std::uint64_t>(b[r].min_ms));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[r].median_ms),
+              std::bit_cast<std::uint64_t>(b[r].median_ms));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[r].p95_ms),
+              std::bit_cast<std::uint64_t>(b[r].p95_ms));
+    const std::vector<double>& sa = a[r].ecdf.sorted();
+    const std::vector<double>& sb = b[r].ecdf.sorted();
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
+                std::bit_cast<std::uint64_t>(sb[i]))
+          << "cell " << r << " sample " << i;
+    }
+  }
+}
+
 void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
   ASSERT_EQ(a.rows_stored(), b.rows_stored());
   ASSERT_EQ(a.rows_dropped(), b.rows_dropped());
@@ -260,15 +288,11 @@ void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
       ASSERT_EQ(shards_a[s].rtt_ms[i], shards_b[s].rtt_ms[i]);
     }
     const std::size_t country = country_index_of(shards_a[s].country);
-    const auto stats_a = a.shard_stats(country, shards_a[s].access);
-    const auto stats_b = b.shard_stats(country, shards_b[s].access);
-    ASSERT_EQ(stats_a.size(), stats_b.size());
-    for (std::size_t r = 0; r < stats_a.size(); ++r) {
-      ASSERT_EQ(stats_a[r].count, stats_b[r].count);
-      ASSERT_EQ(stats_a[r].min_ms, stats_b[r].min_ms);
-      ASSERT_EQ(stats_a[r].median_ms, stats_b[r].median_ms);
-      ASSERT_EQ(stats_a[r].p95_ms, stats_b[r].p95_ms);
-    }
+    expect_same_cells(a.shard_stats(country, shards_a[s].access),
+                      b.shard_stats(country, shards_b[s].access));
+  }
+  for (std::size_t c = 0; c < geo::country_count(); ++c) {
+    expect_same_cells(a.country_stats(c), b.country_stats(c));
   }
 }
 
@@ -314,6 +338,123 @@ TEST(ColumnarStore, AppendChunkingAndThreadCountAreInvisible) {
   chunked.refresh();
 
   expect_same_store(one_shot, chunked);
+}
+
+std::string snapshot_image(const ColumnarStore& store) {
+  std::ostringstream out(std::ios::binary);
+  save_snapshot(store, out);
+  return out.str();
+}
+
+TEST(ColumnarStore, ManySmallRefreshesMatchOneShotBuild) {
+  // Four days: probes rotate through their regions, so a cell needs
+  // several days to collect samples in more than one refresh.
+  CampaignWorld world;
+  world.config.duration_days = 4;
+  const atlas::MeasurementDataset dataset = world.run();
+  const auto probes = dataset.fleet().probes();
+  const auto dropped = [&](const atlas::Measurement& m) {
+    return m.lost() || probes[m.probe_id].privileged();
+  };
+
+  // Reorder so the stream opens shards and regions mid-way: every row of
+  // one country and of the last region comes late; the dropped rows
+  // (lost or privileged) ride between the halves as one chunk of their
+  // own. Within each half rows go tick-major, so cells collect their
+  // samples over several refreshes and merge into non-empty cells. The
+  // one-shot reference ingests the same order.
+  const auto first_kept =
+      std::find_if_not(dataset.records().begin(), dataset.records().end(),
+                       dropped);
+  ASSERT_NE(first_kept, dataset.records().end());
+  const geo::Country* late_country = probes[first_kept->probe_id].country;
+  const auto late_region =
+      static_cast<std::uint16_t>(dataset.registry().size() - 1);
+  std::vector<atlas::Measurement> early;
+  std::vector<atlas::Measurement> drop;
+  std::vector<atlas::Measurement> late;
+  for (const atlas::Measurement& m : dataset.records()) {
+    if (dropped(m)) {
+      drop.push_back(m);
+    } else if (probes[m.probe_id].country == late_country ||
+               m.region_index == late_region) {
+      late.push_back(m);
+    } else {
+      early.push_back(m);
+    }
+  }
+  ASSERT_FALSE(drop.empty());
+  ASSERT_FALSE(late.empty());
+  const auto by_tick = [](const atlas::Measurement& a,
+                          const atlas::Measurement& b) {
+    return a.tick < b.tick;
+  };
+  std::stable_sort(early.begin(), early.end(), by_tick);
+  std::stable_sort(late.begin(), late.end(), by_tick);
+  std::vector<atlas::Measurement> ordered = early;
+  ordered.insert(ordered.end(), drop.begin(), drop.end());
+  ordered.insert(ordered.end(), late.begin(), late.end());
+
+  // Uneven chunks, a 1-row chunk every fourth, ~40 chunks per half.
+  const auto chunk = [](std::span<const atlas::Measurement> rows) {
+    std::vector<std::span<const atlas::Measurement>> chunks;
+    const std::size_t mean = std::max<std::size_t>(1, rows.size() / 40);
+    std::uint64_t lcg = 12345;
+    for (std::size_t at = 0; at < rows.size();) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      const std::size_t want =
+          chunks.size() % 4 == 3 ? 1 : 1 + (lcg >> 33) % (2 * mean);
+      const std::size_t n = std::min(want, rows.size() - at);
+      chunks.push_back(rows.subspan(at, n));
+      at += n;
+    }
+    return chunks;
+  };
+  const auto early_chunks = chunk(early);
+  const auto late_chunks = chunk(late);
+  ASSERT_GE(early_chunks.size() + 1 + late_chunks.size(), 50u);
+
+  ColumnarStore one_shot(&dataset.fleet(), &dataset.registry(),
+                         StoreConfig{1});
+  one_shot.append(ordered);
+  one_shot.refresh();
+  const std::string one_shot_image = snapshot_image(one_shot);
+  const std::size_t late_country_idx = country_index_of(late_country);
+
+  for (const std::size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ColumnarStore store(&dataset.fleet(), &dataset.registry(),
+                        StoreConfig{threads});
+    obs::MetricsRegistry metrics;
+    store.attach_metrics(&metrics);
+    const auto ingest = [&](std::span<const atlas::Measurement> rows) {
+      store.append(rows);
+      store.refresh();
+      ASSERT_EQ(metrics.counter("serve.store.refreshed_rows").value(),
+                store.rows_stored());
+    };
+
+    for (const auto rows : early_chunks) ingest(rows);
+    const std::size_t early_shards = store.shard_count();
+    EXPECT_TRUE(store.country_stats(late_country_idx).empty());
+    std::size_t late_region_rows = 0;
+    for (std::size_t c = 0; c < geo::country_count(); ++c) {
+      const auto rollup = store.country_stats(c);
+      if (!rollup.empty()) late_region_rows += rollup[late_region].count;
+    }
+    EXPECT_EQ(late_region_rows, 0u);
+
+    store.append(drop);
+    EXPECT_TRUE(store.fresh());
+    EXPECT_EQ(store.rows_dropped(), drop.size());
+
+    for (const auto rows : late_chunks) ingest(rows);
+    EXPECT_GT(store.shard_count(), early_shards);
+    EXPECT_FALSE(store.country_stats(late_country_idx).empty());
+
+    expect_same_store(one_shot, store);
+    EXPECT_EQ(snapshot_image(store), one_shot_image);
+  }
 }
 
 TEST(ColumnarStore, CampaignSinkMatchesOneShotBuild) {
