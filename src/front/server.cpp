@@ -70,7 +70,8 @@ bool FrontServer::take_token(std::uint64_t client_id, SimTime now) {
 
 void FrontServer::push_output(ConnId conn, std::vector<std::uint8_t>&& bytes,
                               SimTime ready) {
-  conns_[conn].outputs.push_back(Output{ready, out_seq_++, std::move(bytes)});
+  Conn& c = conns_[conn];
+  if (c.open) c.outputs.push_back(Output{ready, out_seq_++, std::move(bytes)});
 }
 
 void FrontServer::emit_error(ConnId conn, std::uint64_t request_id,
@@ -408,6 +409,12 @@ std::vector<std::uint8_t> FrontServer::take_output(ConnId conn, SimTime now) {
   }
   std::erase_if(c.outputs, [](const Output& o) { return o.bytes.empty(); });
   return bytes;
+}
+
+void FrontServer::disconnect(ConnId conn) {
+  Conn& c = conns_[conn];
+  c.open = false;
+  c.outputs = {};
 }
 
 bool FrontServer::drained() const noexcept {

@@ -138,6 +138,12 @@ class FrontServer {
   [[nodiscard]] std::vector<std::uint8_t> take_output(ConnId conn,
                                                       SimTime now);
 
+  /// The connection's peer is gone: drops its queued output, and any
+  /// output that batches admitted before the close emit later, so
+  /// drained() converges. Requests already queued are still served and
+  /// counted in FrontStats as if delivered.
+  void disconnect(ConnId conn);
+
   [[nodiscard]] const FrontStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return queue_.size();
@@ -176,6 +182,7 @@ class FrontServer {
     std::uint64_t client_id = 0;
     FrameDecoder decoder;
     std::vector<Output> outputs;
+    bool open = true;  ///< false after disconnect(): output is dropped
   };
 
   void admit(ConnId conn, Request&& request, SimTime now);

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -12,14 +13,13 @@
 #include <cerrno>
 #include <cstring>
 #include <ctime>
-#include <limits>
 #include <span>
 
 namespace shears::front {
 
 namespace {
 
-constexpr SimTime kFarFuture = std::numeric_limits<SimTime>::max();
+constexpr timespec kNoWait{0, 0};
 
 [[noreturn]] void throw_errno(const char* what) {
   throw TransportError(std::string("transport: ") + what + ": " +
@@ -31,6 +31,15 @@ void set_nonblocking(int fd) {
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw_errno("fcntl(O_NONBLOCK)");
   }
+}
+
+/// True when the calling thread may run on at least two CPUs, so a
+/// spinning event loop leaves a core to the threads that feed it.
+bool thread_has_spare_cpu() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (::sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return false;
+  return CPU_COUNT(&cpus) >= 2;
 }
 
 }  // namespace
@@ -297,7 +306,7 @@ void SocketServer::close_peer(int fd, std::uint64_t TransportStats::*cause) {
   peer.open = false;
   peer.outbox.clear();
   peer.out_pos = 0;
-  dead_conns_.push_back(peer.conn);
+  server_->disconnect(peer.conn);
   open_connections_ -= 1;
   stats_.closed += 1;
   if (cause != nullptr) stats_.*cause += 1;
@@ -320,14 +329,6 @@ void SocketServer::sweep_idle(SimTime now) {
   }
 }
 
-void SocketServer::discard_dead_outputs() {
-  // Batches admitted before a disconnect may still emit frames for the
-  // dead connection; drop them so drained() can converge.
-  for (const ConnId conn : dead_conns_) {
-    (void)server_->take_output(conn, kFarFuture);
-  }
-}
-
 void SocketServer::pump_session() {
   server_->run_until(clock_->now(), clock_);
   // Read the clock again: on wall time a batch run above completes after
@@ -343,7 +344,6 @@ void SocketServer::pump_session() {
     }
     enqueue_output(peer.fd, std::move(bytes));
   }
-  discard_dead_outputs();
 }
 
 bool SocketServer::drained() const {
@@ -372,19 +372,49 @@ SimTime SocketServer::wait_us(SimTime max_wait_us) {
   return std::min<SimTime>(wait, 60'000'000);
 }
 
+int SocketServer::wait_events(std::span<epoll_event> events, SimTime wait) {
+  using SteadyClock = std::chrono::steady_clock;
+  const int max_events = static_cast<int>(events.size());
+  auto now = SteadyClock::now();
+  const auto deadline =
+      now + std::chrono::microseconds(static_cast<std::int64_t>(wait));
+  if (open_connections_ > 0 && now - last_event_ < kBusyPollWindow &&
+      thread_has_spare_cpu()) {
+    // Spin no longer than the window: a client gone quiet costs the core
+    // for kBusyPollWindow, then the rest of the wait is slept.
+    const auto spin_end = std::min(deadline, last_event_ + kBusyPollWindow);
+    while (true) {
+      const int n = ::epoll_pwait2(epoll_fd_, events.data(), max_events,
+                                   &kNoWait, nullptr);
+      if (n != 0) return n;
+      stats_.busy_polls += 1;
+      now = SteadyClock::now();
+      if (now >= spin_end) break;
+      ::sched_yield();
+    }
+    if (now >= deadline) return 0;
+  }
+  stats_.blocking_waits += 1;
+  const auto left =
+      std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
+          .count();
+  const timespec timeout{static_cast<time_t>(left / 1'000'000),
+                         static_cast<long>(left % 1'000'000) * 1'000};
+  return ::epoll_pwait2(epoll_fd_, events.data(), max_events, &timeout,
+                        nullptr);
+}
+
 int SocketServer::poll(SimTime max_wait_us) {
   ensure_open();
   if (drain_requested_.load(std::memory_order_acquire)) close_listener();
 
-  const SimTime wait = wait_us(max_wait_us);
-  const timespec timeout{static_cast<time_t>(wait / 1'000'000),
-                         static_cast<long>(wait % 1'000'000) * 1'000};
   epoll_event events[64];
-  int n = ::epoll_pwait2(epoll_fd_, events, 64, &timeout, nullptr);
+  int n = wait_events(events, wait_us(max_wait_us));
   if (n < 0) {
     if (errno != EINTR) throw_errno("epoll_pwait2");
     n = 0;
   }
+  if (n > 0) last_event_ = std::chrono::steady_clock::now();
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
     if (fd == wake_fd_) {
@@ -412,7 +442,6 @@ int SocketServer::poll(SimTime max_wait_us) {
     for (Peer& peer : peers_) {
       if (peer.open) close_peer(peer.fd, nullptr);
     }
-    discard_dead_outputs();
   }
   return n;
 }

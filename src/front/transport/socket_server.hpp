@@ -30,6 +30,19 @@
 // delivery jitter cannot perturb the session layer's decisions because
 // the harness owns time (and, in manual-pump mode, batch formation).
 //
+// Busy-polling: while clients are active the loop does not sleep in the
+// kernel between requests. When a connection is open, some socket event
+// arrived within the last kBusyPollWindow of wall time, and the calling
+// thread may run on at least two CPUs, poll() spins on zero-timeout
+// epoll_pwait2 calls (sched_yield between empty ones) until an event
+// arrives or its wait runs out, so a request is read the moment it lands
+// instead of after the host wakes a sleeping thread. Otherwise, and once
+// the window has passed with no event, it sleeps in epoll_pwait2 as
+// before. The price is a full core on the loop thread while clients are
+// active; busy_polls and blocking_waits in TransportStats show it. The
+// spin deadline is steady-clock wall time, never the Clock seam, so a
+// frozen ManualClock cannot make a poll() spin forever.
+//
 // Threading: the event loop is single-threaded. poll()/run() and every
 // accessor must be called from the owning thread; request_stop() and
 // request_drain() are the only cross-thread entry points (atomic flag +
@@ -37,13 +50,17 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "front/server.hpp"
 #include "front/transport/clock.hpp"
+
+struct epoll_event;
 
 namespace shears::front {
 
@@ -98,6 +115,11 @@ struct TransportStats {
   std::uint64_t bytes_in = 0;        ///< read and fed to the session layer
   std::uint64_t bytes_out = 0;       ///< written to sockets
   std::uint64_t partial_writes = 0;  ///< write calls that could not finish
+  /// Zero-timeout epoll polls that found nothing: the busy-poll spin.
+  std::uint64_t busy_polls = 0;
+  /// epoll waits that slept in the kernel (no clients, idle past the
+  /// busy-poll window, or a single-CPU affinity mask).
+  std::uint64_t blocking_waits = 0;
 };
 
 class SocketServer {
@@ -117,11 +139,15 @@ class SocketServer {
   /// feeds the session layer's fairness bucket.
   ConnId adopt(int fd, std::uint64_t client_id);
 
+  /// Wall time after the last socket event during which poll() busy-polls
+  /// instead of sleeping (see the header comment).
+  static constexpr std::chrono::milliseconds kBusyPollWindow{20};
+
   /// One event-loop iteration: waits up to `max_wait_us` for socket
   /// events (less when the session layer has earlier work) at
-  /// microsecond resolution, handles accepts/reads/writes/timeouts, and
-  /// — in auto_pump mode — pumps the session layer. Returns the number
-  /// of fd events handled.
+  /// microsecond resolution — spinning or sleeping, see above — handles
+  /// accepts/reads/writes/timeouts, and — in auto_pump mode — pumps the
+  /// session layer. Returns the number of fd events handled.
   int poll(SimTime max_wait_us);
 
   /// Runs batches due by clock->now() (the clock decides when each is
@@ -171,11 +197,11 @@ class SocketServer {
   void close_peer(int fd, std::uint64_t TransportStats::*cause);
   void close_listener();
   void sweep_idle(SimTime now);
-  /// Discards session output queued for connections that no longer
-  /// exist, so drained() converges after disconnects.
-  void discard_dead_outputs();
   /// How long the next epoll_pwait2 may sleep, in microseconds.
   [[nodiscard]] SimTime wait_us(SimTime max_wait_us);
+  /// Waits up to `wait` µs for events into `events`, busy-polling when
+  /// the conditions in the header comment hold; returns epoll's count.
+  int wait_events(std::span<epoll_event> events, SimTime wait);
 
   FrontServer* server_;
   Clock* clock_;
@@ -186,9 +212,10 @@ class SocketServer {
   std::uint16_t port_ = 0;
   std::vector<Peer> peers_;  ///< indexed by fd
   std::vector<std::uint8_t> read_buf_;  ///< read_chunk bytes, reused
-  std::vector<ConnId> dead_conns_;
   std::size_t open_connections_ = 0;
   std::uint64_t next_client_id_ = 0;  ///< accept-order fairness ids
+  /// When an epoll wait last returned events; opens the busy-poll window.
+  std::chrono::steady_clock::time_point last_event_{};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> drain_requested_{false};
   TransportStats stats_;

@@ -5,19 +5,24 @@
 // writes), and against malicious peers (oversized lengths, corrupted
 // magic, slowloris trickle, abrupt RST) — each attack confined to its
 // own connection. On the wall clock, responses must leave in the poll()
-// that ran their batch and an idle poll() must wait microseconds.
+// that ran their batch and an idle poll() must wait microseconds. While
+// clients are active, poll() busy-polls; it sleeps when they are not,
+// on a single CPU, and never spins past its wait or a stop request.
 //
 // Every test that needs a kernel socket probes for the capability first
 // and skips (never fails) where the sandbox lacks socket(2).
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atlas/measurement.hpp"
@@ -725,6 +730,71 @@ TEST(FrontTransportMalicious, AbruptResetIsConfinedToOneConnection) {
   EXPECT_EQ(count_errors(got, ErrorCode::kBadRequest), 0u);
 }
 
+TEST(FrontTransportMalicious, ResetAfterAdmissionDropsOnlyThatConnection) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  // A linger holds the batch open past both arrivals, so the reset lands
+  // after the rude client's request was admitted and before it is served.
+  FrontConfig config;
+  config.batch_linger_us = 5'000;
+  const std::vector<Event> script = {{1'000, 0, request_bytes(1, 0, "DE")},
+                                     {2'000, 1, request_bytes(2, 1, "FR")}};
+  constexpr SimTime kHorizon = 1'000'000;
+  World golden_world(1);
+  const PathResult golden = run_sim(golden_world, config, 2, script, kHorizon);
+  ASSERT_FALSE(golden.streams[1].empty());
+
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, config);
+  ManualClock clock;
+  TransportConfig tconfig;
+  tconfig.auto_pump = false;
+  SocketServer transport(&server, &clock, tconfig);
+  const std::uint16_t port = transport.listen();
+  BlockingClient socks[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    socks[i].connect(port);
+    poll_until(
+        transport, [&] { return transport.connection_count() == i + 1; },
+        "accept");
+    if (HasFatalFailure()) return;
+  }
+  std::uint64_t sent = 0;
+  for (const Event& event : script) {
+    clock.advance_to(event.at);
+    socks[event.client].send(event.bytes);
+    sent += event.bytes.size();
+    poll_until(
+        transport, [&] { return transport.stats().bytes_in >= sent; },
+        "request never arrived");
+    if (HasFatalFailure()) return;
+    transport.pump_session();
+  }
+  ASSERT_EQ(server.stats().admitted, 2u);
+  ASSERT_EQ(server.stats().batches, 0u) << "the batch ran before the reset";
+
+  socks[0].reset();
+  poll_until(
+      transport, [&] { return transport.stats().closed >= 1; },
+      "reset never surfaced");
+  if (HasFatalFailure()) return;
+  clock.advance_to(kHorizon);
+  transport.pump_session();
+
+  // The dead connection's response is dropped, not held: both layers
+  // drain, and the session counts it exactly as the simulation does.
+  EXPECT_TRUE(server.drained());
+  EXPECT_TRUE(transport.drained());
+  EXPECT_EQ(server.stats(), golden.stats);
+  std::vector<std::uint8_t> stream;
+  while (stream.size() < golden.streams[1].size()) {
+    const auto raw = socks[1].recv_some(2'000);
+    ASSERT_FALSE(raw.empty()) << "surviving client starved";
+    stream.insert(stream.end(), raw.begin(), raw.end());
+  }
+  EXPECT_EQ(stream, golden.streams[1]);
+  EXPECT_TRUE(socks[1].recv_some(20).empty()) << "over-delivered";
+}
+
 // --------------------------------------------------------- wall clock
 
 TEST(FrontTransport, WallClockReleasesResponseInTheIngestingPoll) {
@@ -785,6 +855,183 @@ TEST(FrontTransport, IdlePollWaitsMicrosecondsNotWholeMilliseconds) {
   }
   std::nth_element(waits_ms.begin(), waits_ms.begin() + 10, waits_ms.end());
   EXPECT_LT(waits_ms[10], 1.0) << "a 300 us wait rounded up to a millisecond";
+}
+
+// ----------------------------------------------------------- busy poll
+
+/// CPUs the calling thread may run on.
+int allowed_cpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (::sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return 0;
+  return CPU_COUNT(&cpus);
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// A wall-clock server with one accepted client — an accept is a socket
+/// event, so the busy-poll window is open when this returns.
+struct LiveServer {
+  World world{1};
+  FrontServer server{&world.oracle, &world.store, FrontConfig{}};
+  MonotonicClock clock;
+  SocketServer transport{&server, &clock, TransportConfig{}};
+  BlockingClient peer;
+
+  void accept_one() {
+    peer.connect(transport.listen());
+    poll_until(
+        transport, [&] { return transport.connection_count() == 1; },
+        "accept");
+  }
+};
+
+TEST(FrontTransportBusyPoll, ActiveClientSpinsAndIsAnsweredInTheSamePoll) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  if (allowed_cpus() < 2) GTEST_SKIP() << "busy-polling needs two CPUs";
+  LiveServer live;
+  live.accept_one();
+  if (HasFatalFailure()) return;
+  SocketServer& transport = live.transport;
+  const TransportStats before = transport.stats();
+
+  // The request is sent while poll() waits; the spin reads it, and that
+  // same poll runs its batch and writes the response.
+  const auto request = request_bytes(1, 0, "DE");
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    live.peer.send(request);
+  });
+  int polls = 0;
+  while (transport.stats().bytes_in < request.size() && polls < 1'000) {
+    (void)transport.poll(1'000);
+    polls += 1;
+  }
+  sender.join();
+  ASSERT_EQ(transport.stats().bytes_in, request.size());
+  EXPECT_EQ(live.server.stats().answered, 1u);
+  EXPECT_GT(transport.stats().bytes_out, 0u);
+  EXPECT_GT(transport.stats().busy_polls, before.busy_polls);
+  EXPECT_EQ(transport.stats().blocking_waits, before.blocking_waits)
+      << "an active client's poll slept in the kernel";
+}
+
+TEST(FrontTransportBusyPoll, IdlePollSleepsWithoutClientsAndAfterTheWindow) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  LiveServer live;
+  SocketServer& transport = live.transport;
+  (void)transport.listen();
+  (void)transport.poll(100);
+  EXPECT_EQ(transport.stats().blocking_waits, 1u) << "no client: sleep";
+  EXPECT_EQ(transport.stats().busy_polls, 0u);
+
+  // The close is a fresh event, but nobody is left to serve.
+  BlockingClient gone;
+  gone.connect(transport.port());
+  poll_until(
+      transport, [&] { return transport.connection_count() == 1; }, "accept");
+  if (HasFatalFailure()) return;
+  gone.close();
+  poll_until(
+      transport, [&] { return transport.connection_count() == 0; }, "close");
+  if (HasFatalFailure()) return;
+  TransportStats before = transport.stats();
+  (void)transport.poll(100);
+  EXPECT_EQ(transport.stats().blocking_waits, before.blocking_waits + 1)
+      << "every client gone: sleep";
+  EXPECT_EQ(transport.stats().busy_polls, before.busy_polls);
+
+  live.peer.connect(transport.port());
+  poll_until(
+      transport, [&] { return transport.connection_count() == 1; }, "accept");
+  if (HasFatalFailure()) return;
+  std::this_thread::sleep_for(SocketServer::kBusyPollWindow +
+                              std::chrono::milliseconds(5));
+  before = transport.stats();
+  (void)transport.poll(100);
+  EXPECT_EQ(transport.stats().blocking_waits, before.blocking_waits + 1)
+      << "a client silent past the window: sleep";
+  EXPECT_EQ(transport.stats().busy_polls, before.busy_polls);
+}
+
+TEST(FrontTransportBusyPoll, StopAndDrainEndASpinningPoll) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  if (allowed_cpus() < 2) GTEST_SKIP() << "busy-polling needs two CPUs";
+  for (const bool drain : {false, true}) {
+    LiveServer live;
+    live.accept_one();
+    if (HasFatalFailure()) return;
+    SocketServer& transport = live.transport;
+    std::atomic<std::chrono::steady_clock::time_point> requested{};
+    std::thread requester([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      requested.store(std::chrono::steady_clock::now());
+      if (drain) {
+        transport.request_drain();
+      } else {
+        transport.request_stop();
+      }
+    });
+    (void)transport.poll(10'000'000);
+    const double late_ms = ms_since(requested.load());
+    requester.join();
+    EXPECT_LT(late_ms, 50.0) << (drain ? "drain" : "stop");
+    EXPECT_GT(transport.stats().busy_polls, 0u) << (drain ? "drain" : "stop");
+  }
+}
+
+TEST(FrontTransportBusyPoll, FrozenManualClockCannotSpinForever) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  ManualClock clock;  // never advanced
+  SocketServer transport(&server, &clock, TransportConfig{});
+  BlockingClient silent;
+  silent.connect(transport.listen());
+  poll_until(
+      transport, [&] { return transport.connection_count() == 1; }, "accept");
+  if (HasFatalFailure()) return;
+  const auto start = std::chrono::steady_clock::now();
+  (void)transport.poll(2'000);
+  EXPECT_LT(ms_since(start), 500.0) << "the spin ignored its wall deadline";
+}
+
+TEST(FrontTransportBusyPoll, SingleCpuThreadNeverBusyPolls) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  LiveServer live;
+  bool pinned = false;
+  std::uint64_t answered = 0;
+  TransportStats stats;
+  // Only this thread is pinned; the rest of the process keeps its mask.
+  std::thread loop([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    if (::sched_getaffinity(0, sizeof(one), &one) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &one)) cpu += 1;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) != 0) return;
+    pinned = true;
+    live.accept_one();
+    const auto request = request_bytes(1, 0, "DE");
+    live.peer.send(request);
+    for (int i = 0; i < 1'000 && live.server.stats().answered == 0; ++i) {
+      (void)live.transport.poll(1'000);
+    }
+    (void)live.transport.poll(1'000);  // idle, with the window open
+    answered = live.server.stats().answered;
+    stats = live.transport.stats();
+  });
+  loop.join();
+  if (!pinned) GTEST_SKIP() << "cannot pin a thread here";
+  EXPECT_EQ(answered, 1u);
+  EXPECT_EQ(stats.busy_polls, 0u);
+  EXPECT_GT(stats.blocking_waits, 0u);
 }
 
 // --------------------------------------------------------------- drain
