@@ -12,6 +12,7 @@
 //    counts — both always asserted, never relaxed.
 // Numbers land in the serving-layer JSON (run_benches.sh routes this
 // binary to results/BENCH_serve.json).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -145,6 +146,23 @@ int main(int argc, char** argv) {
                 first.objective, naive_pick, naive_best);
     return 1;
   }
+
+  // Overlay materialisation of every shard and rollup (a route change
+  // touches them all) — the evaluator's two parallel phases; median of
+  // five runs.
+  opt::ScenarioDelta route;
+  route.route_scale = 1.1;
+  std::vector<double> evaluate_s;
+  for (int run = 0; run < 5; ++run) {
+    start = clock_type::now();
+    const opt::OverlayView view = evaluator.evaluate(route);
+    evaluate_s.push_back(seconds_since(start));
+  }
+  std::sort(evaluate_s.begin(), evaluate_s.end());
+  bench::bench_record("opt_overlay_evaluate_all_shards", evaluate_s[2],
+                      static_cast<double>(store.shard_count()));
+  std::printf("overlay: every shard and rollup materialised in %.3f s\n",
+              evaluate_s[2]);
 
   const double speedup = incremental_s > 0.0 ? naive_s / incremental_s : 0.0;
   bench::bench_record_value("opt_speedup_vs_rebuild", speedup);

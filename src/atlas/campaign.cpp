@@ -119,15 +119,16 @@ std::span<const std::uint16_t> Campaign::targets_for(
   return targets_by_continent_[geo::index_of(p.country->continent)];
 }
 
+std::size_t Campaign::probe_capacity(const Probe& p) const noexcept {
+  const std::size_t targets = targets_for(p).size();
+  return static_cast<std::size_t>(tick_count()) *
+         std::min(static_cast<std::size_t>(config_.targets_per_tick),
+                  targets);
+}
+
 std::size_t Campaign::expected_record_count() const {
   std::size_t total = 0;
-  const std::size_t ticks = tick_count();
-  const auto per_tick = static_cast<std::size_t>(config_.targets_per_tick);
-  for (const Probe& p : fleet_->probes()) {
-    const auto& targets = targets_by_continent_[geo::index_of(p.country->continent)];
-    if (targets.empty()) continue;
-    total += ticks * std::min(per_tick, targets.size());
-  }
+  for (const Probe& p : fleet_->probes()) total += probe_capacity(p);
   return total;
 }
 
@@ -137,13 +138,13 @@ bool Campaign::batched_eligible() const noexcept {
          config_.packets_per_ping <= net::kMaxBatchedPackets;
 }
 
-void Campaign::run_probe_range(std::size_t begin, std::size_t end,
-                               std::vector<Measurement>& out,
-                               CampaignTelemetry& telemetry) const {
+std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
+                                      Measurement* out,
+                                      CampaignTelemetry& telemetry) const {
   if (batched_eligible()) {
-    run_probe_range_batched(begin, end, out, telemetry);
-    return;
+    return run_probe_range_batched(begin, end, out, telemetry);
   }
+  Measurement* const first = out;
   stats::Xoshiro256 root(config_.seed);
   const std::uint32_t ticks = tick_count();
   const auto probes = fleet_->probes();
@@ -242,7 +243,7 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
             m.avg_ms = static_cast<float>(ping.avg_ms);
             m.max_ms = static_cast<float>(ping.max_ms);
           }
-          out.push_back(m);
+          *out++ = m;
         }
       }
       const std::size_t produced = static_cast<std::size_t>(ticks) * per_tick;
@@ -370,7 +371,7 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
         }
         m.retries = retries;
         m.faults = mask;
-        out.push_back(m);
+        *out++ = m;
         ++telemetry.bursts;
         if (mask != 0) {
           ++telemetry.bursts_faulted;
@@ -384,6 +385,7 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
     }
     telemetry.quarantine_entries += quarantine.entries();
   }
+  return static_cast<std::size_t>(out - first);
 }
 
 MeasurementDataset Campaign::run() const {
@@ -406,54 +408,56 @@ MeasurementDataset Campaign::run(CampaignTelemetry& telemetry) const {
   threads = static_cast<unsigned>(
       std::min<std::size_t>(threads, n > 0 ? n : 1));
 
-  std::vector<std::vector<Measurement>> shards(threads);
+  // One dataset buffer, cut into one slice per shard sized by its probes'
+  // capacities; shard t runs probes [shard_begin(t), shard_begin(t + 1)).
+  // Records leaves the buffer unfilled, so each worker first-touches its
+  // own slice and the pages fault in parallel.
+  const std::size_t chunk = (n + threads - 1) / threads;
+  const auto shard_begin = [n, chunk](unsigned t) {
+    return std::min(n, t * chunk);
+  };
+  const auto probes = fleet_->probes();
+  std::vector<std::size_t> slice_begin(threads + 1, 0);
+  for (unsigned t = 0; t < threads; ++t) {
+    std::size_t capacity = 0;
+    for (std::size_t pi = shard_begin(t); pi < shard_begin(t + 1); ++pi) {
+      capacity += probe_capacity(probes[pi]);
+    }
+    slice_begin[t + 1] = slice_begin[t] + capacity;
+  }
+  Records records(slice_begin[threads]);
+  std::vector<std::size_t> written(threads, 0);
   std::vector<CampaignTelemetry> shard_telemetry(threads);
-  if (threads == 1) {
-    shards[0].reserve(expected_record_count());
+  const auto run_shard = [&](unsigned t) {
     obs::Span span(shard_hist);
-    run_probe_range(0, n, shards[0], shard_telemetry[0]);
+    written[t] = run_probe_range(shard_begin(t), shard_begin(t + 1),
+                                 records.data() + slice_begin[t],
+                                 shard_telemetry[t]);
+  };
+  if (threads == 1) {
+    run_shard(0);
   } else {
     std::vector<std::thread> workers;
     workers.reserve(threads);
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (unsigned t = 0; t < threads; ++t) {
-      const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      workers.emplace_back([this, begin, end, shard_hist, &shard = shards[t],
-                            &tel = shard_telemetry[t]] {
-        obs::Span span(shard_hist);
-        run_probe_range(begin, end, shard, tel);
-      });
-    }
+    for (unsigned t = 0; t < threads; ++t) workers.emplace_back(run_shard, t);
     for (std::thread& w : workers) w.join();
   }
 
+  // Churn, faults, hangs and quarantine leave a slice short of its
+  // capacity: move each later slice down behind the rows before it, in
+  // shard order, then drop the tail. A fault-free run fills every slice
+  // exactly and moves nothing.
   telemetry = CampaignTelemetry{};
-  if (!cache_.empty()) {
-    // Single-shard runs hand their buffer over wholesale; a nine-month
-    // fleet dataset is ~110 MB, not worth copying.
-    std::vector<Measurement> records = std::move(shards[0]);
-    telemetry.merge(shard_telemetry[0]);
-    if (shards.size() > 1) {
-      records.reserve(expected_record_count());
-      for (unsigned t = 1; t < shards.size(); ++t) {
-        records.insert(records.end(), shards[t].begin(), shards[t].end());
-        telemetry.merge(shard_telemetry[t]);
-      }
+  std::size_t rows = 0;
+  for (unsigned t = 0; t < threads; ++t) {
+    if (rows != slice_begin[t]) {
+      std::copy_n(records.data() + slice_begin[t], written[t],
+                  records.data() + rows);
     }
-    publish_metrics(telemetry, run_start);
-    if (sink_ != nullptr) sink_->publish(records);
-    return MeasurementDataset(fleet_, registry_, std::move(records));
-  }
-  // Uncached runs are the benchmark baseline and keep the pre-change
-  // assembly (reserve + copy every shard) so the recorded speedup compares
-  // against what the engine actually cost before this optimisation.
-  std::vector<Measurement> records;
-  records.reserve(expected_record_count());
-  for (unsigned t = 0; t < shards.size(); ++t) {
-    records.insert(records.end(), shards[t].begin(), shards[t].end());
+    rows += written[t];
     telemetry.merge(shard_telemetry[t]);
   }
+  records.resize(rows);
   publish_metrics(telemetry, run_start);
   if (sink_ != nullptr) sink_->publish(records);
   return MeasurementDataset(fleet_, registry_, std::move(records));

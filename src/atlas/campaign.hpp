@@ -110,8 +110,8 @@ struct CampaignTelemetry {
 /// Receives a campaign's committed records — the serving layer's burst
 /// publication hook (serve::ColumnarStore implements it, so a running
 /// campaign streams into a live store without a rebuild). Rows arrive in
-/// dataset order, once per run, after the per-probe shards are merged;
-/// the span is only valid for the duration of the call.
+/// dataset order, once per run, after every worker has finished; the
+/// span is only valid for the duration of the call.
 class MeasurementSink {
  public:
   virtual ~MeasurementSink() = default;
@@ -173,16 +173,23 @@ class Campaign {
   }
 
   /// Publishes every run()'s records into `sink` (dataset order, after
-  /// shard merge) — how a live serving store ingests fresh campaigns.
+  /// every worker has finished) — how a live serving store ingests fresh campaigns.
   /// Purely observational: the dataset bytes are identical with or
   /// without a sink. Pass nullptr to detach; `sink` must outlive the
   /// campaign.
   void attach_sink(MeasurementSink* sink) noexcept { sink_ = sink; }
 
  private:
-  void run_probe_range(std::size_t begin, std::size_t end,
-                       std::vector<Measurement>& out,
-                       CampaignTelemetry& telemetry) const;
+  /// Rows a probe records at full uptime with no faults: ticks x
+  /// min(targets_per_tick, |targets|); an upper bound otherwise.
+  [[nodiscard]] std::size_t probe_capacity(const Probe& p) const noexcept;
+
+  /// Samples probes [begin, end) into `out`, probe-major, and returns the
+  /// number of rows written; `out` must hold the range's summed
+  /// probe_capacity.
+  std::size_t run_probe_range(std::size_t begin, std::size_t end,
+                              Measurement* out,
+                              CampaignTelemetry& telemetry) const;
 
   /// Lane-batched twin of run_probe_range (campaign_batched.cpp): groups
   /// the range's probes into 8-lane blocks per continent and samples
@@ -190,9 +197,9 @@ class Campaign {
   /// independent of block composition (each lane consumes only its own
   /// stream), so sharding and thread count still do not change the
   /// dataset.
-  void run_probe_range_batched(std::size_t begin, std::size_t end,
-                               std::vector<Measurement>& out,
-                               CampaignTelemetry& telemetry) const;
+  std::size_t run_probe_range_batched(std::size_t begin, std::size_t end,
+                                      Measurement* out,
+                                      CampaignTelemetry& telemetry) const;
 
   /// Pushes one run's telemetry into metrics_; no-op when detached.
   void publish_metrics(const CampaignTelemetry& telemetry,

@@ -25,8 +25,9 @@
 // returns a lost burst before drawing anything.
 //
 // Output order matches the scalar engine (probe-major, ticks ascending):
-// each lane appends to its own per-probe row buffer and the buffers are
-// concatenated in probe order at the end.
+// each lane writes into its probe's own slot range of the shard's slice,
+// sized by probe_capacity, and ranges a probe left short (churn, hangs)
+// are closed up in probe order at the end.
 #include <algorithm>
 #include <array>
 #include <numeric>
@@ -49,13 +50,13 @@ net::PingResult lost_burst_batched(int packets) noexcept {
 
 }  // namespace
 
-void Campaign::run_probe_range_batched(std::size_t begin, std::size_t end,
-                                       std::vector<Measurement>& out,
-                                       CampaignTelemetry& telemetry) const {
+std::size_t Campaign::run_probe_range_batched(
+    std::size_t begin, std::size_t end, Measurement* out,
+    CampaignTelemetry& telemetry) const {
   using net::kBurstLanes;
   // run()'s ceiling-division chunking hands trailing shards an empty
-  // (and possibly inverted) range when the fleet is small.
-  if (begin >= end) return;
+  // range when the fleet is small.
+  if (begin >= end) return 0;
 
   stats::Xoshiro256 root(config_.seed);
   const std::uint32_t ticks = tick_count();
@@ -71,9 +72,13 @@ void Campaign::run_probe_range_batched(std::size_t begin, std::size_t end,
   const auto diurnal_period = static_cast<std::uint32_t>(
       24 / std::gcd(config_.interval_hours, 24));
 
-  // Per-probe row buffers, merged in probe order at the end so the
-  // dataset keeps the scalar engine's probe-major layout.
-  std::vector<std::vector<Measurement>> rows(end - begin);
+  // Probe pi's rows go to out[slot[pi - begin] ...], probe-major like
+  // the scalar engine; written[] counts what each probe produced.
+  std::vector<std::size_t> slot(end - begin + 1, 0);
+  for (std::size_t pi = begin; pi < end; ++pi) {
+    slot[pi - begin + 1] = slot[pi - begin] + probe_capacity(probes[pi]);
+  }
+  std::vector<std::size_t> written(end - begin, 0);
 
   // Bucket the shard's probes by continent: lanes blocked within one
   // bucket share the target span and per-tick burst count.
@@ -99,13 +104,12 @@ void Campaign::run_probe_range_batched(std::size_t begin, std::size_t end,
       // fork, rotation draw, congestion stationary draw.
       std::array<const Probe*, kBurstLanes> probe{};
       std::array<std::uint64_t, kBurstLanes> ids{};
-      std::array<std::vector<Measurement>*, kBurstLanes> lane_rows{};
+      std::array<std::size_t, kBurstLanes> lane_probe{};  ///< pi - begin
       for (std::size_t l = 0; l < block_n; ++l) {
         const std::size_t pi = bucket[b0 + l];
         probe[l] = &probes[pi];
         ids[l] = probe[l]->id;
-        lane_rows[l] = &rows[pi - begin];
-        lane_rows[l]->reserve(static_cast<std::size_t>(ticks) * per_tick);
+        lane_probe[l] = pi - begin;
       }
       stats::XoshiroLanes rng = stats::XoshiroLanes::striped(
           root, std::span<const std::uint64_t>(ids.data(), block_n));
@@ -222,7 +226,8 @@ void Campaign::run_probe_range_batched(std::size_t begin, std::size_t end,
               m.max_ms = static_cast<float>(ping.max_ms);
             }
             m.faults = mask[l];
-            lane_rows[l]->push_back(m);
+            const std::size_t k = lane_probe[l];
+            out[slot[k] + written[k]++] = m;
             ++telemetry.bursts;
             if (mask[l] != 0) {
               ++telemetry.bursts_faulted;
@@ -242,10 +247,12 @@ void Campaign::run_probe_range_batched(std::size_t begin, std::size_t end,
     }
   }
 
-  std::size_t total = 0;
-  for (const auto& r : rows) total += r.size();
-  out.reserve(out.size() + total);
-  for (const auto& r : rows) out.insert(out.end(), r.begin(), r.end());
+  std::size_t rows = 0;
+  for (std::size_t k = 0; k < written.size(); ++k) {
+    if (rows != slot[k]) std::copy_n(out + slot[k], written[k], out + rows);
+    rows += written[k];
+  }
+  return rows;
 }
 
 }  // namespace shears::atlas

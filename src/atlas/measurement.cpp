@@ -42,7 +42,7 @@ class FloatPrecisionGuard {
 
 MeasurementDataset::MeasurementDataset(const ProbeFleet* fleet,
                                        const topology::CloudRegistry* registry,
-                                       std::vector<Measurement> records)
+                                       Records records)
     : fleet_(fleet), registry_(registry), records_(std::move(records)) {
   if (fleet_ == nullptr || registry_ == nullptr) {
     throw std::invalid_argument("MeasurementDataset: null fleet or registry");
@@ -212,7 +212,7 @@ MeasurementDataset MeasurementDataset::read_csv(
     throw std::runtime_error("read_csv: missing or unexpected header");
   }
 
-  std::vector<Measurement> records;
+  Records records;
   std::size_t line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
@@ -362,7 +362,7 @@ MeasurementDataset MeasurementDataset::read_jsonl(
   const long long tick_seconds =
       static_cast<long long>(interval_hours) * 3600;
 
-  std::vector<Measurement> records;
+  Records records;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {

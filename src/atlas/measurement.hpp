@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "atlas/placement.hpp"
@@ -33,13 +36,47 @@ struct Measurement {
   [[nodiscard]] bool faulted() const noexcept { return faults != 0; }
 };
 
+/// std::allocator whose value-initialising construct() leaves the
+/// storage as allocated, so `Records(n)` and `resize(n)` hand out rows
+/// without zero-filling them. A campaign sizes its whole dataset up
+/// front and each worker first-touches only its own slice; a value-init
+/// would write every page once more, serially, on the calling thread.
+/// Every other construct() (copies, push_back) behaves as usual.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+  UninitializedAllocator() noexcept = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+// Leaving a row unconstructed is valid only for an implicit-lifetime
+// type: an aggregate without a user-provided destructor.
+static_assert(std::is_aggregate_v<Measurement> &&
+              std::is_trivially_destructible_v<Measurement>);
+
+/// A dataset's rows. Rows added by resize(n) or Records(n) hold
+/// indeterminate values until written; every producer writes each row
+/// it keeps.
+using Records = std::vector<Measurement, UninitializedAllocator<Measurement>>;
+
 /// The dataset a campaign produces: records plus the fleet and footprint
 /// they refer to. Non-owning of fleet/registry — both must outlive it.
 class MeasurementDataset {
  public:
   MeasurementDataset(const ProbeFleet* fleet,
                      const topology::CloudRegistry* registry,
-                     std::vector<Measurement> records);
+                     Records records);
 
   [[nodiscard]] std::span<const Measurement> records() const noexcept {
     return records_;
@@ -99,7 +136,7 @@ class MeasurementDataset {
  private:
   const ProbeFleet* fleet_;
   const topology::CloudRegistry* registry_;
-  std::vector<Measurement> records_;
+  Records records_;
 };
 
 }  // namespace shears::atlas

@@ -175,8 +175,7 @@ void check_feasibility_monotonicity(Gen& gen) {
 
 void check_permutation_invariance(Gen& gen, const World& world,
                                   const atlas::MeasurementDataset& dataset) {
-  std::vector<atlas::Measurement> shuffled(dataset.records().begin(),
-                                           dataset.records().end());
+  atlas::Records shuffled(dataset.records().begin(), dataset.records().end());
   for (std::size_t i = shuffled.size(); i > 1; --i) {
     std::swap(shuffled[i - 1], shuffled[gen.below(i)]);
   }

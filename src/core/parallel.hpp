@@ -10,9 +10,13 @@
 // pin this.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -73,6 +77,48 @@ void parallel_shards(std::size_t items, std::size_t shards, Fn&& fn) {
     }
     begin = end;
   }
+  for (std::thread& w : workers) w.join();
+}
+
+/// Runs `fn(unit)` once for every unit in [0, weights.size()), handing
+/// the units out from one atomic cursor in descending weight (ties in
+/// index order) to up to `requested` workers (0 = hardware concurrency),
+/// the calling thread among them. Use it instead of parallel_shards when
+/// unit costs differ by orders of magnitude: equal-count contiguous
+/// ranges then leave one worker with most of the work, while largest
+/// first keeps every worker busy until the small units even out the
+/// tail. `fn` must touch only state owned by its unit, so which worker
+/// ran a unit cannot change any result.
+template <typename Fn>
+void parallel_largest_first(std::span<const std::uint64_t> weights,
+                            std::size_t requested, Fn&& fn) {
+  const std::size_t units = weights.size();
+  std::size_t threads = requested != 0
+                            ? requested
+                            : static_cast<std::size_t>(
+                                  std::thread::hardware_concurrency());
+  threads = std::min(std::max<std::size_t>(threads, 1), units);
+  if (threads <= 1) {
+    for (std::size_t u = 0; u < units; ++u) fn(u);
+    return;
+  }
+  std::vector<std::size_t> order(units);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&weights](std::size_t a, std::size_t b) {
+                     return weights[a] > weights[b];
+                   });
+  std::atomic<std::size_t> cursor{0};
+  const auto work = [&] {
+    for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+         k < units; k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      fn(order[k]);
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) workers.emplace_back(work);
+  work();
   for (std::thread& w : workers) w.join();
 }
 

@@ -50,7 +50,7 @@ atlas::MeasurementDataset apply_quality_guards(
   local.cells_total = cell_samples.size();
 
   // Pass 2: keep what survives all three rules.
-  std::vector<atlas::Measurement> kept;
+  atlas::Records kept;
   kept.reserve(dataset.size());
   for (const atlas::Measurement& m : dataset.records()) {
     if ((m.faults & policy.drop_fault_mask) != 0) {

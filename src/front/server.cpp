@@ -71,7 +71,25 @@ bool FrontServer::take_token(std::uint64_t client_id, SimTime now) {
 void FrontServer::push_output(ConnId conn, std::vector<std::uint8_t>&& bytes,
                               SimTime ready) {
   Conn& c = conns_[conn];
-  if (c.open) c.outputs.push_back(Output{ready, out_seq_++, std::move(bytes)});
+  if (!c.open) return;
+  c.outputs.push_back(Output{ready, out_seq_++, std::move(bytes)});
+  track_outputs(conn);
+}
+
+void FrontServer::track_outputs(ConnId conn) {
+  Conn& c = conns_[conn];
+  const bool listed = c.listed_at != kNotListed;
+  if (listed != c.outputs.empty()) return;  // already consistent
+  if (!listed) {
+    c.listed_at = with_output_.size();
+    with_output_.push_back(conn);
+    return;
+  }
+  const ConnId last = with_output_.back();
+  with_output_[c.listed_at] = last;
+  conns_[last].listed_at = c.listed_at;
+  with_output_.pop_back();
+  c.listed_at = kNotListed;
 }
 
 void FrontServer::emit_error(ConnId conn, std::uint64_t request_id,
@@ -383,8 +401,8 @@ std::optional<SimTime> FrontServer::next_activity() const {
   if (const auto close = next_batch_close(); close.has_value()) {
     consider(*close);
   }
-  for (const Conn& c : conns_) {
-    for (const Output& o : c.outputs) consider(o.ready_us);
+  for (const ConnId conn : with_output_) {
+    for (const Output& o : conns_[conn].outputs) consider(o.ready_us);
   }
   return at;
 }
@@ -408,6 +426,7 @@ std::vector<std::uint8_t> FrontServer::take_output(ConnId conn, SimTime now) {
     o->bytes.clear();  // mark delivered
   }
   std::erase_if(c.outputs, [](const Output& o) { return o.bytes.empty(); });
+  track_outputs(conn);
   return bytes;
 }
 
@@ -415,14 +434,11 @@ void FrontServer::disconnect(ConnId conn) {
   Conn& c = conns_[conn];
   c.open = false;
   c.outputs = {};
+  track_outputs(conn);
 }
 
 bool FrontServer::drained() const noexcept {
-  if (!queue_.empty()) return false;
-  for (const Conn& c : conns_) {
-    if (!c.outputs.empty()) return false;
-  }
-  return true;
+  return queue_.empty() && with_output_.empty();
 }
 
 void FrontServer::attach_metrics(obs::MetricsRegistry* metrics) {

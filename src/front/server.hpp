@@ -178,11 +178,15 @@ class FrontServer {
     SimTime refilled_us = 0;
   };
 
+  static constexpr std::size_t kNotListed = static_cast<std::size_t>(-1);
+
   struct Conn {
     std::uint64_t client_id = 0;
     FrameDecoder decoder;
     std::vector<Output> outputs;
     bool open = true;  ///< false after disconnect(): output is dropped
+    /// Index into with_output_ while `outputs` is non-empty.
+    std::size_t listed_at = kNotListed;
   };
 
   void admit(ConnId conn, Request&& request, SimTime now);
@@ -192,6 +196,8 @@ class FrontServer {
                   SimTime ready);
   void push_output(ConnId conn, std::vector<std::uint8_t>&& bytes,
                    SimTime ready);
+  /// Lists or unlists `conn` in with_output_ after its outputs changed.
+  void track_outputs(ConnId conn);
   /// Close time of the next batch given the queue head; nullopt when
   /// the queue is empty.
   [[nodiscard]] std::optional<SimTime> next_batch_close() const;
@@ -202,6 +208,10 @@ class FrontServer {
   serve::ColumnarStore* store_;
   FrontConfig config_;
   std::vector<Conn> conns_;
+  /// Connections with queued outputs, in no particular order: what
+  /// next_activity() and drained() walk instead of every Conn ever
+  /// connected.
+  std::vector<ConnId> with_output_;
   std::vector<Pending> queue_;  ///< arrival order; EDF-selected per batch
   std::vector<std::pair<std::uint64_t, TokenBucket>> buckets_;
   SimTime busy_until_ = 0;

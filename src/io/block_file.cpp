@@ -74,14 +74,26 @@ const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() noexcept {
   return tables;
 }
 
-/// CRC of a block: header tail (tag + length) then payload, chained.
-[[nodiscard]] std::uint32_t block_crc(
-    std::uint32_t tag, std::span<const std::uint8_t> payload) noexcept {
-  std::uint8_t head[12];
-  put_u32(head, tag);
-  put_u64(head + 4, payload.size());
-  const std::uint32_t partial = crc32({head, sizeof(head)});
-  return crc32(payload, partial);
+/// Writes one block header and its payload parts; `what` labels the
+/// error a failed stream raises.
+void write_block(std::ostream& os, std::uint32_t tag,
+                 std::span<const std::span<const std::uint8_t>> parts,
+                 std::uint32_t crc, const std::string& what) {
+  std::uint64_t length = 0;
+  for (const auto part : parts) length += part.size();
+  std::uint8_t header[kBlockHeaderBytes];
+  put_u32(header, tag);
+  put_u64(header + 4, length);
+  put_u32(header + 12, crc);
+  os.write(reinterpret_cast<const char*>(header), sizeof(header));
+  for (const auto part : parts) {
+    if (part.empty()) continue;
+    os.write(reinterpret_cast<const char*>(part.data()),
+             static_cast<std::streamsize>(part.size()));
+  }
+  if (!os) {
+    throw BlockError(what + ": write failed (disk full or stream error)");
+  }
 }
 
 }  // namespace
@@ -105,6 +117,19 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
     c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
+}
+
+std::uint32_t block_crc(
+    std::uint32_t tag,
+    std::span<const std::span<const std::uint8_t>> parts) noexcept {
+  std::uint64_t length = 0;
+  for (const auto part : parts) length += part.size();
+  std::uint8_t head[12];
+  put_u32(head, tag);
+  put_u64(head + 4, length);
+  std::uint32_t crc = crc32({head, sizeof(head)});
+  for (const auto part : parts) crc = crc32(part, crc);
+  return crc;
 }
 
 std::string fourcc_name(std::uint32_t tag) {
@@ -149,21 +174,20 @@ void BlockWriter::add(std::uint32_t tag, std::span<const std::uint8_t> payload) 
   append_block(*os_, tag, payload, what_);
 }
 
+void BlockWriter::add_parts(
+    std::uint32_t tag, std::span<const std::span<const std::uint8_t>> parts,
+    std::uint32_t crc) {
+  if (finished_) {
+    throw BlockError(what_ + ": add() after finish()");
+  }
+  write_block(*os_, tag, parts, crc, what_);
+}
+
 void append_block(std::ostream& os, std::uint32_t tag,
                   std::span<const std::uint8_t> payload,
                   const std::string& what) {
-  std::uint8_t header[kBlockHeaderBytes];
-  put_u32(header, tag);
-  put_u64(header + 4, payload.size());
-  put_u32(header + 12, block_crc(tag, payload));
-  os.write(reinterpret_cast<const char*>(header), sizeof(header));
-  if (!payload.empty()) {
-    os.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  }
-  if (!os) {
-    throw BlockError(what + ": write failed (disk full or stream error)");
-  }
+  const std::span<const std::uint8_t> parts[] = {payload};
+  write_block(os, tag, parts, block_crc(tag, parts), what);
 }
 
 void BlockWriter::finish() {
@@ -228,7 +252,8 @@ std::optional<Block> BlockReader::next() {
   }
   const std::span<const std::uint8_t> payload =
       bytes_.subspan(at_ + kBlockHeaderBytes, length);
-  if (want != block_crc(tag, payload)) {
+  const std::span<const std::uint8_t> parts[] = {payload};
+  if (want != block_crc(tag, parts)) {
     fail("checksum mismatch in block '" + fourcc_name(tag) + "'");
   }
   at_ += kBlockHeaderBytes + length;

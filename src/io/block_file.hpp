@@ -67,6 +67,14 @@ inline constexpr std::uint32_t kEndTag = fourcc("END.");
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                                   std::uint32_t seed = 0) noexcept;
 
+/// CRC a block header carries for `tag` and a payload that is the
+/// concatenation of `parts` (CRC-32 over tag + length + payload). Lets
+/// a writer checksum blocks ahead of writing them, on worker threads
+/// say, and add them with BlockWriter::add_parts.
+[[nodiscard]] std::uint32_t block_crc(
+    std::uint32_t tag,
+    std::span<const std::span<const std::uint8_t>> parts) noexcept;
+
 /// Reader/writer failures: container label + block tag + byte offset.
 class BlockError : public std::runtime_error {
  public:
@@ -86,6 +94,14 @@ class BlockWriter {
   BlockWriter(std::ostream& os, std::uint32_t app_tag, std::string what);
 
   void add(std::uint32_t tag, std::span<const std::uint8_t> payload);
+
+  /// Adds one block whose payload is the concatenation of `parts`,
+  /// written straight from them with no staging copy. `crc` must be
+  /// block_crc(tag, parts); a wrong one yields a block every reader
+  /// rejects.
+  void add_parts(std::uint32_t tag,
+                 std::span<const std::span<const std::uint8_t>> parts,
+                 std::uint32_t crc);
 
   /// Writes the END. terminator and flushes. Must be the last call.
   void finish();

@@ -183,29 +183,30 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
   // the first half of the bit-exactness contract.
   const std::size_t regions = store_->registry().size();
   const float route = static_cast<float>(delta.route_scale);
+  // Shard sizes span orders of magnitude, so both phases hand out work
+  // largest first, weighted by rows.
   std::vector<std::vector<serve::RegionStats>> cells(todo.size());
-  const std::size_t shard_workers =
-      core::resolve_threads(config_.threads, todo.size(), 1);
-  core::parallel_shards(todo.size(), shard_workers,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const serve::ColumnarStore::ShardView& shard = shards_[todo[k]];
-      const float relief = relief_for(shard, delta.wireless_scale);
-      std::vector<std::vector<double>> samples(regions);
-      for (std::size_t i = 0; i < shard.rtt_ms.size(); ++i) {
-        const float be =
-            best_edge.empty() ? kInf : best_edge[shard.probe_ids[i]];
-        samples[shard.region_index[i]].push_back(static_cast<double>(
-            transform_rtt(shard.rtt_ms[i], relief, route, be)));
-      }
-      cells[k].assign(regions, serve::RegionStats{});
-      for (std::size_t r = 0; r < regions; ++r) {
-        if (samples[r].empty()) continue;
-        std::sort(samples[r].begin(), samples[r].end());
-        serve::RegionStats& cell = cells[k][r];
-        cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
-        finish_cell(cell);
-      }
+  std::vector<std::uint64_t> weights(todo.size());
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    weights[k] = shards_[todo[k]].rtt_ms.size();
+  }
+  core::parallel_largest_first(weights, config_.threads, [&](std::size_t k) {
+    const serve::ColumnarStore::ShardView& shard = shards_[todo[k]];
+    const float relief = relief_for(shard, delta.wireless_scale);
+    std::vector<std::vector<double>> samples(regions);
+    for (std::size_t i = 0; i < shard.rtt_ms.size(); ++i) {
+      const float be =
+          best_edge.empty() ? kInf : best_edge[shard.probe_ids[i]];
+      samples[shard.region_index[i]].push_back(static_cast<double>(
+          transform_rtt(shard.rtt_ms[i], relief, route, be)));
+    }
+    cells[k].assign(regions, serve::RegionStats{});
+    for (std::size_t r = 0; r < regions; ++r) {
+      if (samples[r].empty()) continue;
+      std::sort(samples[r].begin(), samples[r].end());
+      serve::RegionStats& cell = cells[k][r];
+      cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
+      finish_cell(cell);
     }
   });
 
@@ -225,34 +226,38 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
   }
 
   std::vector<std::vector<serve::RegionStats>> rollups(countries.size());
-  const std::size_t rollup_workers =
-      core::resolve_threads(config_.threads, countries.size(), 1);
-  core::parallel_shards(countries.size(), rollup_workers,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t ci = countries[k];
-      std::array<std::span<const serve::RegionStats>, kAccess> tables;
+  std::vector<std::uint64_t> country_rows(geo::country_count(), 0);
+  for (const serve::ColumnarStore::ShardView& shard : shards_) {
+    country_rows[serve::country_index_of(shard.country)] +=
+        shard.rtt_ms.size();
+  }
+  weights.resize(countries.size());
+  for (std::size_t k = 0; k < countries.size(); ++k) {
+    weights[k] = country_rows[countries[k]];
+  }
+  core::parallel_largest_first(weights, config_.threads, [&](std::size_t k) {
+    const std::size_t ci = countries[k];
+    std::array<std::span<const serve::RegionStats>, kAccess> tables;
+    for (std::size_t a = 0; a < kAccess; ++a) {
+      const std::size_t sub = substituted_cell[ci * kAccess + a];
+      tables[a] = sub < todo.size()
+                      ? std::span<const serve::RegionStats>(cells[sub])
+                      : store_->shard_stats(
+                            ci, static_cast<net::AccessTechnology>(a));
+    }
+    rollups[k].assign(regions, serve::RegionStats{});
+    for (std::size_t r = 0; r < regions; ++r) {
+      std::array<const stats::Ecdf*, kAccess> parts{};
+      std::size_t used = 0;
       for (std::size_t a = 0; a < kAccess; ++a) {
-        const std::size_t sub = substituted_cell[ci * kAccess + a];
-        tables[a] = sub < todo.size()
-                        ? std::span<const serve::RegionStats>(cells[sub])
-                        : store_->shard_stats(
-                              ci, static_cast<net::AccessTechnology>(a));
+        if (tables[a].empty() || tables[a][r].empty()) continue;
+        parts[used++] = &tables[a][r].ecdf;
       }
-      rollups[k].assign(regions, serve::RegionStats{});
-      for (std::size_t r = 0; r < regions; ++r) {
-        std::array<const stats::Ecdf*, kAccess> parts{};
-        std::size_t used = 0;
-        for (std::size_t a = 0; a < kAccess; ++a) {
-          if (tables[a].empty() || tables[a][r].empty()) continue;
-          parts[used++] = &tables[a][r].ecdf;
-        }
-        if (used == 0) continue;
-        serve::RegionStats& cell = rollups[k][r];
-        cell.ecdf = stats::Ecdf::merged(
-            std::span<const stats::Ecdf* const>(parts.data(), used));
-        finish_cell(cell);
-      }
+      if (used == 0) continue;
+      serve::RegionStats& cell = rollups[k][r];
+      cell.ecdf = stats::Ecdf::merged(
+          std::span<const stats::Ecdf* const>(parts.data(), used));
+      finish_cell(cell);
     }
   });
 
@@ -282,7 +287,7 @@ serve::ColumnarStore OverlayEvaluator::rebuild_reference(
                           : best_edge_ms(delta.sites, delta.wireless_scale);
   const float route = static_cast<float>(delta.route_scale);
 
-  std::vector<atlas::Measurement> rows;
+  atlas::Records rows;
   rows.reserve(store_->rows_stored());
   for (const serve::ColumnarStore::ShardView& shard : shards_) {
     const float relief = relief_for(shard, delta.wireless_scale);

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -21,19 +20,6 @@ constexpr std::uint32_t kSkipKey = 0xffffffffu;
 /// Hard per-shard capacity: the scatter indexes shard slots with
 /// std::uint32_t offsets, so a shard can never exceed 2^32 - 1 rows.
 constexpr std::uint64_t kMaxShardRows = 0xffffffffu;
-
-/// Worker count for per-shard-heavy work (sorting summaries): unlike the
-/// record scans behind core::resolve_threads, each unit here is worth a
-/// thread well below 16k items.
-[[nodiscard]] std::size_t heavy_threads(std::size_t requested,
-                                        std::size_t items) noexcept {
-  std::size_t n = requested != 0
-                      ? requested
-                      : static_cast<std::size_t>(
-                            std::thread::hardware_concurrency());
-  if (n == 0) n = 1;
-  return std::max<std::size_t>(1, std::min(n, items));
-}
 
 /// Fills a cell's scalars from its (non-empty) Ecdf.
 void summarise(RegionStats& cell) {
@@ -300,21 +286,26 @@ void ColumnarStore::refresh() {
   // Phase 1 folds each dirty shard's new rows into its cells; phase 2
   // folds the resulting per-region deltas into the country rollups. The
   // join between them hands every KeyGroup from its shard worker to the
-  // one worker that owns its country.
-  const std::size_t threads = heavy_threads(config_.threads, dirty.size());
-  core::parallel_shards(dirty.size(), threads,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      refresh_group(groups_[dirty[i]]);
-    }
+  // one worker that owns its country. Shard sizes span orders of
+  // magnitude, so both phases hand out work largest first, weighted by
+  // the rows each unit's cells hold.
+  std::vector<std::uint64_t> weights(dirty.size());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    weights[i] = groups_[dirty[i]].rtt_ms.size();
+  }
+  core::parallel_largest_first(weights, config_.threads, [&](std::size_t i) {
+    refresh_group(groups_[dirty[i]]);
   });
-  const std::size_t country_threads =
-      heavy_threads(config_.threads, dirty_countries.size());
-  core::parallel_shards(dirty_countries.size(), country_threads,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      refresh_country(dirty_countries[i]);
+  weights.assign(dirty_countries.size(), 0);
+  for (std::size_t i = 0; i < dirty_countries.size(); ++i) {
+    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
+      weights[i] +=
+          groups_[dirty_countries[i] * net::kAccessTechnologyCount + a]
+              .rtt_ms.size();
     }
+  }
+  core::parallel_largest_first(weights, config_.threads, [&](std::size_t i) {
+    refresh_country(dirty_countries[i]);
   });
   fresh_ = true;
 

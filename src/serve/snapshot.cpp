@@ -1,5 +1,6 @@
 #include "serve/snapshot.hpp"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "geo/country.hpp"
 #include "net/access.hpp"
 
@@ -45,6 +47,9 @@ struct SnapshotAccess {
     s.rows_dropped_ = dropped;
   }
   static void set_fresh(ColumnarStore& s, bool fresh) { s.fresh_ = fresh; }
+  static std::size_t threads(const ColumnarStore& s) {
+    return s.config_.threads;
+  }
 };
 
 namespace {
@@ -87,6 +92,14 @@ class PayloadWriter {
  private:
   std::vector<std::uint8_t> bytes_;
 };
+
+/// A column's bytes as written into a payload (native order).
+template <typename T>
+[[nodiscard]] std::span<const std::uint8_t> column_bytes(
+    const std::vector<T>& column) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(column.data()),
+          column.size() * sizeof(T)};
+}
 
 /// Bounds-checked reader over one block payload; any overrun or
 /// leftover bytes is a precise SnapshotError, never UB.
@@ -295,10 +308,40 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os) {
   const auto& groups = SnapshotAccess::groups(store);
   const auto& country_stats = SnapshotAccess::country_stats(store);
 
-  std::uint32_t group_count = 0;
-  for (const auto& group : groups) {
-    if (!group.rtt_ms.empty()) ++group_count;
+  // A SHRD payload is the key/n prefix and the four columns, checksummed
+  // up front straight from the store's columns — in parallel, largest
+  // shard first — then written in key order from the same spans, so the
+  // image is byte for byte the one a serial save writes.
+  struct ShardBlock {
+    std::size_t key = 0;
+    std::array<std::uint8_t, 12> prefix{};
+    std::uint32_t crc = 0;
+  };
+  std::vector<ShardBlock> shard_blocks;
+  std::vector<std::uint64_t> weights;
+  for (std::size_t key = 0; key < groups.size(); ++key) {
+    const std::uint64_t n = groups[key].rtt_ms.size();
+    if (n == 0) continue;
+    ShardBlock& block = shard_blocks.emplace_back();
+    block.key = key;
+    const auto key32 = static_cast<std::uint32_t>(key);
+    std::memcpy(block.prefix.data(), &key32, sizeof(key32));
+    std::memcpy(block.prefix.data() + sizeof(key32), &n, sizeof(n));
+    weights.push_back(n);
   }
+  const auto shard_parts = [&groups](const ShardBlock& block) {
+    const auto& group = groups[block.key];
+    return std::array<std::span<const std::uint8_t>, 5>{
+        block.prefix, column_bytes(group.probe_ids),
+        column_bytes(group.region_index), column_bytes(group.ticks),
+        column_bytes(group.rtt_ms)};
+  };
+  core::parallel_largest_first(
+      weights, SnapshotAccess::threads(store), [&](std::size_t i) {
+        shard_blocks[i].crc =
+            io::block_crc(kShardTag, shard_parts(shard_blocks[i]));
+      });
+
   std::uint32_t rollup_count = 0;
   for (const auto& rollup : country_stats) {
     if (!rollup.empty()) ++rollup_count;
@@ -314,27 +357,15 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os) {
   payload.u32(static_cast<std::uint32_t>(geo::country_count()));
   payload.u32(static_cast<std::uint32_t>(net::kAccessTechnologyCount));
   payload.u32(static_cast<std::uint32_t>(store.registry().size()));
-  payload.u32(group_count);
+  payload.u32(static_cast<std::uint32_t>(shard_blocks.size()));
   payload.u32(rollup_count);
   writer.add(kMetaTag, payload.span());
 
-  for (std::size_t key = 0; key < groups.size(); ++key) {
-    const auto& group = groups[key];
-    if (group.rtt_ms.empty()) continue;
-    const std::size_t n = group.rtt_ms.size();
-
+  for (const ShardBlock& block : shard_blocks) {
+    writer.add_parts(kShardTag, shard_parts(block), block.crc);
     payload.clear();
-    payload.u32(static_cast<std::uint32_t>(key));
-    payload.u64(n);
-    payload.raw(group.probe_ids.data(), n * sizeof(std::uint32_t));
-    payload.raw(group.region_index.data(), n * sizeof(std::uint16_t));
-    payload.raw(group.ticks.data(), n * sizeof(std::uint32_t));
-    payload.raw(group.rtt_ms.data(), n * sizeof(float));
-    writer.add(kShardTag, payload.span());
-
-    payload.clear();
-    payload.u32(static_cast<std::uint32_t>(key));
-    write_cells(payload, group.stats);
+    payload.u32(static_cast<std::uint32_t>(block.key));
+    write_cells(payload, groups[block.key].stats);
     writer.add(kShardStatsTag, payload.span());
   }
 

@@ -3,6 +3,8 @@
 // byte-determinism of the sharded record scans across thread counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "atlas/campaign.hpp"
 #include "atlas/measurement.hpp"
 #include "atlas/placement.hpp"
@@ -83,7 +85,7 @@ class MicroDatasetTest : public ::testing::Test {
     return probes;
   }
 
-  atlas::MeasurementDataset make_dataset(std::vector<Measurement> records) {
+  atlas::MeasurementDataset make_dataset(atlas::Records records) {
     return atlas::MeasurementDataset(&fleet_, &registry_, std::move(records));
   }
 
@@ -337,6 +339,29 @@ TEST(ParallelHelpers, ParallelShardsCoversRangeContiguously) {
   for (std::size_t i = 1; i < kItems; ++i) {
     EXPECT_LE(owner[i - 1], owner[i]);  // contiguous, ordered shards
   }
+}
+
+TEST(ParallelHelpers, LargestFirstRunsEveryUnitOnce) {
+  // Skewed weights with ties; every thread count, including more
+  // threads than units and no units at all, runs each unit exactly once.
+  std::vector<std::uint64_t> weights(97);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i == 40 ? 1'000'000 : (i * 7919) % 13;
+  }
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, std::size_t{8},
+                                    std::size_t{200}}) {
+    std::vector<std::atomic<int>> runs(weights.size());
+    parallel_largest_first(weights, threads, [&](std::size_t unit) {
+      runs[unit].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "unit " << i << ", threads " << threads;
+    }
+  }
+  int calls = 0;
+  parallel_largest_first({}, 4, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelHelpers, BitmapTestSetMergeCount) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -497,6 +498,67 @@ TEST(FrontServer, MalformedFramesAreConfinedToOneRequest) {
   Response res;
   ASSERT_TRUE(decode_response(items[0].payload, res));
   EXPECT_EQ(res.request_id, 2u);
+}
+
+TEST(FrontServer, ClosedConnectionsDoNotChangeActivityOrDrain) {
+  // 10 000 clients connect, get an answer queued, and disconnect: half
+  // before reading it (the output is dropped), half after. A server
+  // that went through that churn must then report the same
+  // next_activity() and drained() as a fresh one serving the same live
+  // traffic, at every step of that traffic.
+  FrontWorld world;
+  FrontConfig config;
+  config.batch_linger_us = 50;
+  FrontServer churned(&world.oracle, &world.store, config);
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const SimTime at = static_cast<SimTime>(i) * 1'000;
+    const ConnId conn = churned.connect(100 + i);
+    std::vector<std::uint8_t> bytes;
+    append_request_frame(bytes, best_rtt_request(i + 1, "DE"));
+    churned.submit(conn, bytes, at);
+    churned.run_until(at + 500);
+    if (i % 2 == 1) {
+      EXPECT_FALSE(churned.take_output(conn, at + 500).empty()) << i;
+    }
+    churned.disconnect(conn);
+  }
+  EXPECT_TRUE(churned.drained());
+  EXPECT_EQ(churned.next_activity(), std::nullopt);
+
+  FrontServer fresh(&world.oracle, &world.store, config);
+  constexpr SimTime kStart = 100'000'000;
+  const auto expect_same = [&](const char* step) {
+    EXPECT_EQ(churned.next_activity(), fresh.next_activity()) << step;
+    EXPECT_EQ(churned.drained(), fresh.drained()) << step;
+  };
+  const ConnId a_churned = churned.connect(1);
+  const ConnId b_churned = churned.connect(2);
+  const ConnId a_fresh = fresh.connect(1);
+  const ConnId b_fresh = fresh.connect(2);
+  std::vector<std::uint8_t> to_a;
+  append_request_frame(to_a, best_rtt_request(1, "DE"));
+  std::vector<std::uint8_t> to_b;
+  append_request_frame(to_b, best_rtt_request(2, "FR"));
+
+  churned.submit(a_churned, to_a, kStart);
+  fresh.submit(a_fresh, to_a, kStart);
+  expect_same("first request queued");
+  EXPECT_FALSE(fresh.drained());
+  churned.submit(b_churned, to_b, kStart + 10);
+  fresh.submit(b_fresh, to_b, kStart + 10);
+  expect_same("second request queued");
+  churned.run_until(kStart + 60);
+  fresh.run_until(kStart + 60);
+  expect_same("batch served, answers pending");
+  ASSERT_TRUE(fresh.next_activity().has_value());
+  const SimTime ready = *fresh.next_activity();
+  EXPECT_EQ(churned.take_output(a_churned, ready),
+            fresh.take_output(a_fresh, ready));
+  expect_same("one answer read");
+  churned.disconnect(b_churned);
+  fresh.disconnect(b_fresh);
+  expect_same("other client gone");
+  EXPECT_TRUE(fresh.drained());
 }
 
 // ---------------------------------------------------------------- client

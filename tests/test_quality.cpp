@@ -18,6 +18,7 @@ namespace {
 
 using atlas::Measurement;
 using atlas::MeasurementDataset;
+using atlas::Records;
 
 const atlas::ProbeFleet& test_fleet() {
   static const atlas::ProbeFleet fleet = [] {
@@ -63,7 +64,7 @@ QualityPolicy lenient_policy() {
 TEST(QualityGuards, FaultMaskDropsTaintedRecords) {
   const std::uint8_t skew = faults::fault_bit(faults::FaultKind::kClockSkew);
   const std::uint8_t flap = faults::fault_bit(faults::FaultKind::kRouteFlap);
-  std::vector<Measurement> records;
+  Records records;
   for (std::uint32_t t = 0; t < 5; ++t) records.push_back(make_record(0, 0, t, 3));
   for (std::uint32_t t = 5; t < 8; ++t)
     records.push_back(make_record(0, 0, t, 3, skew));
@@ -84,7 +85,7 @@ TEST(QualityGuards, FaultMaskDropsTaintedRecords) {
 }
 
 TEST(QualityGuards, LossyProbesLoseAllRecords) {
-  std::vector<Measurement> records;
+  Records records;
   // Probe 0: 3 of 4 bursts fully lost (75% > 50%).
   records.push_back(make_record(0, 0, 0, 3));
   for (std::uint32_t t = 1; t < 4; ++t)
@@ -121,7 +122,7 @@ TEST(QualityGuards, ThinCellsAreDropped) {
   }
   ASSERT_NE(other, 0);
 
-  std::vector<Measurement> records;
+  Records records;
   for (std::uint32_t t = 0; t < 3; ++t)
     records.push_back(make_record(0, 0, t, 3));     // thick cell
   records.push_back(make_record(0, other, 3, 3));   // thin cell: 1 sample
@@ -143,7 +144,7 @@ TEST(QualityGuards, ThinCellsAreDropped) {
 
 TEST(QualityGuards, EveryDropIsAccountedFor) {
   const std::uint8_t skew = faults::fault_bit(faults::FaultKind::kClockSkew);
-  std::vector<Measurement> records;
+  Records records;
   for (std::uint32_t t = 0; t < 12; ++t)
     records.push_back(make_record(0, 0, t, 3));
   for (std::uint32_t t = 0; t < 4; ++t)
@@ -213,8 +214,7 @@ TEST(DegradationReport, DetectsVerdictShiftsUnderHeavyDegradation) {
       atlas::Campaign(test_fleet(), test_registry(), model, config).run();
 
   // A uniformly +200 ms dataset crosses several application thresholds.
-  std::vector<Measurement> shifted(clean.records().begin(),
-                                   clean.records().end());
+  Records shifted(clean.records().begin(), clean.records().end());
   for (Measurement& m : shifted) {
     if (m.lost()) continue;
     m.min_ms += 200.0f;

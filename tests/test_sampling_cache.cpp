@@ -117,21 +117,43 @@ TEST(SamplingCacheGolden, ChurnMultiTargetMatchesPreCacheEngine) {
   EXPECT_EQ(dataset_checksum(uncached), kGoldenChurnMulti);
 }
 
-std::uint64_t scenario_checksum(const char* file) {
+/// Checksum and size of a shipped scenario's dataset at a short window.
+struct ScenarioRun {
+  std::uint64_t checksum = 0;
+  std::size_t rows = 0;
+  std::size_t capacity = 0;  ///< expected_record_count()
+  bool batched = false;      ///< ran on the lane-batched engine
+};
+
+ScenarioRun run_scenario(const char* file, unsigned threads,
+                         bool batched = false) {
   std::ifstream in(std::string(SHEARS_SOURCE_DIR) + "/scenarios/" + file);
   EXPECT_TRUE(in.good()) << file;
   config::Scenario sc = config::parse_scenario(in);
   sc.campaign.duration_days = 2;  // checksum window, not the full 9 months
-  sc.campaign.threads = 1;
+  sc.campaign.threads = threads;
+  sc.campaign.batched = batched;
+  if (batched) {
+    // The lane kernel covers churn and faults but not retries or
+    // quarantine; drop those so the scenario runs on it.
+    sc.campaign.retry = {};
+    sc.campaign.quarantine = {};
+  }
   atlas::PlacementConfig pc = sc.fleet;
   pc.probe_count = 256;
   const auto fleet = atlas::ProbeFleet::generate(pc);
   const auto registry = sc.make_registry();
   const net::LatencyModel model(sc.model);
   const auto schedule = sc.make_fault_schedule();
-  const auto ds =
-      atlas::Campaign(fleet, registry, model, sc.campaign, &schedule).run();
-  return dataset_checksum(ds);
+  const atlas::Campaign campaign(fleet, registry, model, sc.campaign,
+                                 &schedule);
+  const auto ds = campaign.run();
+  return {dataset_checksum(ds), ds.size(), campaign.expected_record_count(),
+          campaign.batched_eligible()};
+}
+
+std::uint64_t scenario_checksum(const char* file) {
+  return run_scenario(file, 1).checksum;
 }
 
 TEST(SamplingCacheGolden, ShippedScenariosMatchPreCacheEngine) {
@@ -154,6 +176,112 @@ TEST(SamplingCacheThreads, DatasetInvariantAcrossThreadCounts) {
     const auto uncached = atlas::Campaign(fleet, registry, model, cc).run();
     EXPECT_EQ(dataset_checksum(uncached), kGoldenSmallDefault)
         << threads << " threads, uncached";
+  }
+}
+
+// Campaign workers fill one dataset buffer, each its own slice sized by
+// its probes' capacity; configurations that record less than that leave
+// gaps that run() closes in shard order. These pin the closed-up
+// dataset to the single-thread one (and to the goldens where they
+// exist) at thread counts whose slices end at different probes.
+TEST(CampaignSlices, ChurnedSlicesMatchGoldenAtEveryThreadCount) {
+  atlas::PlacementConfig pc;
+  pc.probe_count = 300;
+  pc.seed = 11;
+  const auto fleet = atlas::ProbeFleet::generate(pc);
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    atlas::CampaignConfig cc;
+    cc.duration_days = 5;
+    cc.targets_per_tick = 2;
+    cc.probe_uptime = 0.9;
+    cc.seed = 99;
+    cc.threads = threads;
+    const atlas::Campaign campaign(fleet, registry, model, cc);
+    const auto ds = campaign.run();
+    EXPECT_EQ(dataset_checksum(ds), kGoldenChurnMulti) << threads;
+    EXPECT_LT(ds.size(), campaign.expected_record_count()) << threads;
+  }
+}
+
+TEST(CampaignSlices, FaultedScenarioMatchesGoldenAtEveryThreadCount) {
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    const ScenarioRun run = run_scenario("faulted_9_months.ini", threads);
+    EXPECT_EQ(run.checksum, kGoldenFaulted9Months) << threads;
+    EXPECT_LT(run.rows, run.capacity) << threads;
+  }
+}
+
+TEST(CampaignSlices, BatchedFaultedSlicesAreThreadInvariant) {
+  // The lane-batched engine closes per-probe gaps inside its slice too.
+  const ScenarioRun one = run_scenario("faulted_9_months.ini", 1, true);
+  ASSERT_TRUE(one.batched);
+  EXPECT_LT(one.rows, one.capacity);
+  for (const unsigned threads : {3u, 8u}) {
+    const ScenarioRun run = run_scenario("faulted_9_months.ini", threads, true);
+    EXPECT_EQ(run.checksum, one.checksum) << threads;
+    EXPECT_EQ(run.rows, one.rows) << threads;
+  }
+}
+
+TEST(CampaignSlices, RetriesAndQuarantineAreThreadInvariant) {
+  const auto fleet = small_fleet();
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  faults::FaultScheduleConfig fc;
+  fc.seed = 3;
+  fc.region_outage_rate = 0.3;
+  fc.probe_hang_rate = 0.2;
+  const faults::FaultSchedule schedule(fc);
+  std::uint64_t reference = 0;
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    atlas::CampaignConfig cc = small_config();
+    cc.threads = threads;
+    cc.retry.max_retries = 2;
+    cc.quarantine.enabled = true;
+    const atlas::Campaign campaign(fleet, registry, model, cc, &schedule);
+    atlas::CampaignTelemetry telemetry;
+    const auto ds = campaign.run(telemetry);
+    EXPECT_LT(ds.size(), campaign.expected_record_count()) << threads;
+    EXPECT_GT(telemetry.retries, 0u) << threads;
+    EXPECT_GT(telemetry.quarantined_ticks + telemetry.hang_ticks, 0u)
+        << threads;
+    if (threads == 1) reference = dataset_checksum(ds);
+    EXPECT_EQ(dataset_checksum(ds), reference) << threads;
+  }
+}
+
+TEST(CampaignSlices, TinyFleetsWithEmptyShardsAreThreadInvariant) {
+  // Ceiling-division chunking: 5 probes on 4 threads gives shards of
+  // 2, 2, 1 and 0 probes; 9 on 4 gives 3, 3, 3 and 0.
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  const auto full = small_fleet();
+  for (const std::size_t probes : {std::size_t{1}, std::size_t{5},
+                                   std::size_t{9}}) {
+    const auto fleet = atlas::ProbeFleet::from_probes(
+        {full.probes().begin(),
+         full.probes().begin() + static_cast<std::ptrdiff_t>(probes)});
+    for (const bool batched : {false, true}) {
+      std::uint64_t reference = 0;
+      std::size_t rows = 0;
+      for (const unsigned threads : {1u, 3u, 4u, 8u}) {
+        atlas::CampaignConfig cc = small_config();
+        cc.threads = threads;
+        cc.probe_uptime = 0.9;
+        cc.batched = batched;
+        const auto ds = atlas::Campaign(fleet, registry, model, cc).run();
+        if (threads == 1) {
+          reference = dataset_checksum(ds);
+          rows = ds.size();
+        }
+        EXPECT_EQ(dataset_checksum(ds), reference)
+            << probes << " probes, " << threads << " threads, batched "
+            << batched;
+        EXPECT_EQ(ds.size(), rows);
+      }
+    }
   }
 }
 

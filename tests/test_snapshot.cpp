@@ -495,6 +495,151 @@ TEST_F(SnapshotCorpus, NegativeRttIsRejectedAtRowValidation) {
   }
 }
 
+// ------------------------------------------------------- skewed store
+
+/// One huge shard (DE ethernet, 200 k rows over three regions) and a
+/// tiny one in each of 60 other countries: the shape largest-first
+/// refresh and the parallel save checksums are scheduled for.
+struct SkewedWorld {
+  topology::CloudRegistry registry{{topology::all_regions().data(),
+                                    topology::all_regions().data() + 1,
+                                    topology::all_regions().data() + 2}};
+  atlas::ProbeFleet fleet;
+  std::vector<atlas::Measurement> rows;
+
+  SkewedWorld() : fleet(make_fleet()) {
+    for (std::uint32_t i = 0; i < 200'000; ++i) {
+      rows.push_back(row(0, static_cast<std::uint16_t>(i % 3), i,
+                         5.0f + static_cast<float>((i * 7919u) % 1000) / 8.0f));
+    }
+    for (atlas::ProbeId p = 1; p < fleet.size(); ++p) {
+      for (std::uint32_t t = 0; t < p % 4 + 1; ++t) {
+        rows.push_back(row(p, static_cast<std::uint16_t>((p + t) % 3), t,
+                           20.0f + static_cast<float>(p) +
+                               static_cast<float>(t)));
+      }
+    }
+  }
+
+  static atlas::ProbeFleet make_fleet() {
+    std::vector<atlas::Probe> probes;
+    probes.push_back(make_probe(0, "DE", net::AccessTechnology::kEthernet,
+                                atlas::Environment::kHome));
+    for (const geo::Country& country : geo::all_countries()) {
+      if (probes.size() == 61) break;
+      if (country.iso2 == "DE") continue;
+      probes.push_back(make_probe(static_cast<atlas::ProbeId>(probes.size()),
+                                  std::string(country.iso2).c_str(),
+                                  net::AccessTechnology::kEthernet,
+                                  atlas::Environment::kHome));
+    }
+    return atlas::ProbeFleet::from_probes(std::move(probes));
+  }
+
+  [[nodiscard]] ColumnarStore build(std::size_t threads) const {
+    ColumnarStore store(&fleet, &registry, StoreConfig{threads});
+    store.append(rows);
+    store.refresh();
+    return store;
+  }
+};
+
+TEST(SkewedStore, SummariesAndImageAreThreadInvariant) {
+  const SkewedWorld world;
+  const ColumnarStore one = world.build(1);
+  ASSERT_EQ(one.shard_count(), 61u);
+  const std::vector<std::uint8_t> image = image_of(one);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+    const ColumnarStore store = world.build(threads);
+    expect_same_store(one, store);
+    EXPECT_EQ(image_of(store), image) << threads << " threads";
+
+    // Loading refreshes through the same scheduler; the loaded store
+    // saves the same image again.
+    const ColumnarStore loaded = load_snapshot(
+        image, &world.fleet, &world.registry, StoreConfig{threads});
+    expect_same_store(one, loaded);
+    EXPECT_EQ(image_of(loaded), image) << threads << " threads, loaded";
+  }
+}
+
+TEST(SkewedStore, IncrementalRefreshMatchesOneShotBuild) {
+  // Appending the rows in three batches, refreshing after each, folds
+  // deltas into cells of very different sizes on every thread count.
+  const SkewedWorld world;
+  const ColumnarStore one_shot = world.build(1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}}) {
+    ColumnarStore store(&world.fleet, &world.registry, StoreConfig{threads});
+    const std::span<const atlas::Measurement> all(world.rows);
+    const std::size_t third = all.size() / 3;
+    store.append(all.subspan(0, third));
+    store.refresh();
+    store.append(all.subspan(third, third));
+    store.refresh();
+    store.append(all.subspan(2 * third));
+    store.refresh();
+    expect_same_store(one_shot, store);
+    EXPECT_EQ(image_of(store), image_of(one_shot)) << threads << " threads";
+  }
+}
+
+TEST(SkewedStore, CorruptImagesAreRejected) {
+  const SkewedWorld world;
+  const std::vector<std::uint8_t> image = image_of(world.build(8));
+  const auto load = [&world](const std::vector<std::uint8_t>& bytes) {
+    return load_snapshot(bytes, &world.fleet, &world.registry,
+                         StoreConfig{8});
+  };
+  // A flipped bit anywhere — in the huge shard's columns, a tiny
+  // shard's prefix or a summary block — fails its block's checksum.
+  const std::size_t stride = image.size() / 211 + 1;
+  for (std::size_t at = io::kContainerHeaderBytes; at < image.size();
+       at += stride) {
+    std::vector<std::uint8_t> bad = image;
+    bad[at] ^= 0x04;
+    EXPECT_THROW((void)load(bad), io::BlockError) << "flip at byte " << at;
+  }
+  for (const std::size_t keep :
+       {io::kContainerHeaderBytes + 40, image.size() / 2, image.size() - 1}) {
+    const std::vector<std::uint8_t> cut(image.begin(), image.begin() + keep);
+    EXPECT_THROW((void)load(cut), io::BlockError) << "prefix of " << keep;
+  }
+}
+
+TEST(BlockWriterParts, GatheredBlockEqualsTheStagedOne) {
+  const std::vector<std::uint8_t> a = {1, 2, 3};
+  const std::vector<std::uint8_t> b;
+  const std::vector<std::uint8_t> c = {4, 5, 6, 7, 8, 9, 10, 11, 12};
+  std::vector<std::uint8_t> joined = a;
+  joined.insert(joined.end(), c.begin(), c.end());
+  const std::uint32_t tag = io::fourcc("TEST");
+
+  std::ostringstream staged(std::ios::binary);
+  io::BlockWriter staged_writer(staged, tag, "test");
+  staged_writer.add(tag, joined);
+  staged_writer.finish();
+
+  const std::span<const std::uint8_t> parts[] = {a, b, c};
+  std::ostringstream gathered(std::ios::binary);
+  io::BlockWriter gathered_writer(gathered, tag, "test");
+  gathered_writer.add_parts(tag, parts, io::block_crc(tag, parts));
+  gathered_writer.finish();
+  EXPECT_EQ(gathered.str(), staged.str());
+
+  // A CRC that does not cover every part yields a block readers reject.
+  const std::span<const std::uint8_t> fewer[] = {a, b};
+  std::ostringstream wrong(std::ios::binary);
+  io::BlockWriter wrong_writer(wrong, tag, "test");
+  wrong_writer.add_parts(tag, parts, io::block_crc(tag, fewer));
+  wrong_writer.finish();
+  const std::string bytes = wrong.str();
+  io::BlockReader reader(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()},
+      tag, "test");
+  EXPECT_THROW((void)reader.next(), io::BlockError);
+}
+
 // ------------------------------------------------- shard overflow guard
 
 TEST(StoreOverflowGuard, CapacityIsEnforcedWithStrongGuarantee) {
