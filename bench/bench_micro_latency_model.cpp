@@ -1,7 +1,7 @@
 // Microbenchmarks for the latency model — the simulator's hot path: a
 // nine-month campaign samples tens of millions of pings. The custom main
-// also times a recomputing-vs-cached burst loop and records both in the
-// bench JSON (see bench_common.hpp).
+// also times the cached scalar burst loop against the lane-batched kernel
+// and records both in the bench JSON (see bench_common.hpp).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -72,14 +72,16 @@ void BM_PingBurst3(benchmark::State& state) {
   const topology::CloudRegion& dst = frankfurt();
   stats::Xoshiro256 rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.ping(src, dst, 3, rng));
+    benchmark::DoNotOptimize(net::detail::aggregate_burst(
+        3, [&] { return model.ping_once(src, dst, rng); }));
   }
 }
 BENCHMARK(BM_PingBurst3);
 
 void BM_PingBurst3Cached(benchmark::State& state) {
   // The campaign hot path: the pair's path and access profile come from
-  // the sampling cache instead of being recomputed per packet.
+  // the sampling cache instead of being recomputed per packet as in
+  // BM_PingBurst3.
   const net::LatencyModel model;
   const net::Endpoint src{{40.71, -74.01}, geo::ConnectivityTier::kTier1,
                           net::AccessTechnology::kLte};
@@ -103,51 +105,9 @@ void BM_AccessSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AccessSample);
 
-/// Times a recomputing-vs-cached burst loop over one representative pair
-/// (same RNG seed for both — the streams stay aligned, so the two loops
-/// do identical sampling work) and records both in the bench JSON.
-void run_burst_comparison() {
-  using clock = std::chrono::steady_clock;
-  constexpr int kBursts = 500000;
-
-  const net::LatencyModel model;
-  const net::Endpoint src{{40.71, -74.01}, geo::ConnectivityTier::kTier1,
-                          net::AccessTechnology::kLte};
-  const topology::CloudRegion& dst = frankfurt();
-
-  stats::Xoshiro256 rng(7);
-  double sink = 0.0;
-  auto start = clock::now();
-  for (int i = 0; i < kBursts; ++i) {
-    sink += model.ping_perturbed(src, dst, 3, 1.0, {}, rng).avg_ms;
-  }
-  const double uncached_s =
-      std::chrono::duration<double>(clock::now() - start).count();
-
-  const net::CachedPath path = model.cache_path(src, dst);
-  const net::CachedProfile profile = model.cache_profile(src);
-  stats::Xoshiro256 cached_rng(7);
-  double cached_sink = 0.0;
-  start = clock::now();
-  for (int i = 0; i < kBursts; ++i) {
-    cached_sink += model.ping_cached(path, profile, 3, 1.0, {}, cached_rng).avg_ms;
-  }
-  const double cached_s =
-      std::chrono::duration<double>(clock::now() - start).count();
-
-  bench::bench_record("burst_uncached", uncached_s, kBursts);
-  bench::bench_record("burst_cached", cached_s, kBursts);
-  bench::bench_record_value("burst_cache_speedup",
-                            cached_s > 0.0 ? uncached_s / cached_s : 0.0);
-  std::printf(
-      "\nburst comparison (%d bursts): uncached %.3f s, cached %.3f s, "
-      "%.2fx%s\n",
-      kBursts, uncached_s, cached_s, uncached_s / cached_s,
-      sink == cached_sink ? ", identical samples" : " — SAMPLES DIVERGED");
-}
-
 /// Times the cached scalar burst loop against the 8-lane batched kernel
-/// on the same representative pair (ISSUE 7's tentpole number). The two
+/// on the same representative pair, recording the scalar loop as
+/// burst_cached and the kernel as burst_batched. The two
 /// loops do the same sampling work per burst — same burst state, same
 /// per-lane RNG discipline — so items/s is an apples-to-apples kernel
 /// comparison. Gated by SHEARS_BATCHED_GATE (default 2x; run_benches.sh
@@ -203,6 +163,7 @@ int run_batched_comparison() {
   const double batched_items =
       static_cast<double>(blocks) * static_cast<double>(net::kBurstLanes);
 
+  bench::bench_record("burst_cached", scalar_s, kBursts);
   bench::bench_record("burst_batched", batched_s, batched_items);
   const double scalar_rate = static_cast<double>(kBursts) / scalar_s;
   const double batched_rate = batched_items / batched_s;
@@ -234,6 +195,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_burst_comparison();
   return run_batched_comparison();
 }

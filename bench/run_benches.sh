@@ -4,12 +4,13 @@
 #
 #   bench/run_benches.sh [build-dir] [days]
 #
-# Runs the campaign cache comparison plus the telemetry overhead gate
-# (bench_micro_campaign) and the burst kernel comparison
-# (bench_micro_latency_model) at the paper's nine-month scale (270 days by
-# default) and merges both binaries' numbers into
-# results/BENCH_campaign.json — including campaign_telemetry_overhead_pct,
-# the instrumented-vs-plain throughput delta. The serving benches write
+# Runs the campaign telemetry overhead gate (bench_micro_campaign, which
+# also records the cached campaign's wall clock as campaign_cached) and
+# the scalar-vs-batched burst kernel comparison (bench_micro_latency_model)
+# at the paper's nine-month scale (270 days by default) and merges both
+# binaries' numbers into results/BENCH_campaign.json — including
+# campaign_telemetry_overhead_pct, the instrumented-vs-plain throughput
+# delta. The serving benches write
 # results/BENCH_serve.json. Both paths are relative to the working
 # directory. Override the output files with SHEARS_BENCH_JSON and
 # SHEARS_BENCH_JSON_SERVE, the pair count with SHEARS_BENCH_REPEATS, the
@@ -17,9 +18,9 @@
 # snapshot warm-start gate with SHEARS_SNAPSHOT_GATE (default 10x), and
 # the optimizer incremental-scoring gate with SHEARS_OPT_GATE (default
 # 10x).
-# Exits non-zero if the cached and uncached datasets ever diverge, if an
-# attached MetricsRegistry perturbs the dataset, or if telemetry costs
-# more than the gate allows.
+# Exits non-zero if an attached MetricsRegistry perturbs the dataset, if
+# telemetry costs more than the gate allows, or if any other bench's gate
+# fails.
 set -eu
 
 BUILD_DIR="${1:-build-bench}"
@@ -44,7 +45,7 @@ SHEARS_BENCH_DAYS="$DAYS" SHEARS_BENCH_JSON="$JSON" \
   SHEARS_SCAN_GATE="${SHEARS_SCAN_GATE:-1.2}" \
   "$BUILD_DIR/bench/bench_store_scan"
 echo
-echo "== campaign cache comparison + telemetry overhead ($DAYS days) =="
+echo "== campaign telemetry overhead ($DAYS days) =="
 SHEARS_BENCH_DAYS="$DAYS" SHEARS_BENCH_JSON="$JSON" \
   "$BUILD_DIR/bench/bench_micro_campaign" --benchmark_filter=NONE
 echo

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   serve::ColumnarStore store(&fleet, &cloud);
   atlas::Campaign campaign(fleet, cloud, internet, scenario.campaign);
   campaign.attach_sink(&store);
-  campaign.run();
+  (void)campaign.run();  // rows reach the store through the sink
   store.refresh();
   std::cout << "store: " << store.rows_stored() << " rows, "
             << store.shard_count() << " shards\n";

@@ -104,9 +104,7 @@ Campaign::Campaign(const ProbeFleet& fleet,
       }
     }
   }
-  if (config_.sampling_cache) {
-    cache_ = PathCache(fleet, registry, model, config_.threads);
-  }
+  cache_ = PathCache(fleet, registry, model, config_.threads);
 }
 
 std::uint32_t Campaign::tick_count() const noexcept {
@@ -133,8 +131,8 @@ std::size_t Campaign::expected_record_count() const {
 }
 
 bool Campaign::batched_eligible() const noexcept {
-  return config_.batched && !cache_.empty() &&
-         config_.retry.max_retries == 0 && !config_.quarantine.enabled &&
+  return config_.batched && config_.retry.max_retries == 0 &&
+         !config_.quarantine.enabled &&
          config_.packets_per_ping <= net::kMaxBatchedPackets;
 }
 
@@ -148,16 +146,14 @@ std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
   stats::Xoshiro256 root(config_.seed);
   const std::uint32_t ticks = tick_count();
   const auto probes = fleet_->probes();
-  const auto& regions = registry_->regions();
   const bool has_faults = schedule_ != nullptr && !schedule_->empty();
   const bool has_retry = config_.retry.max_retries > 0;
   const bool has_quarantine = config_.quarantine.enabled;
   const std::uint8_t skew_bit = faults::fault_bit(faults::FaultKind::kClockSkew);
-  const bool use_cache = !cache_.empty();
   // The UTC hour repeats with the tick phase: (tick * interval) mod 24
-  // cycles with period 24 / gcd(interval, 24) <= 24, so cached runs look
-  // the diurnal load up from a small per-probe table instead of
-  // re-evaluating the raised cosine per burst.
+  // cycles with period 24 / gcd(interval, 24) <= 24, so the diurnal load
+  // is looked up from a small per-probe table instead of re-evaluating
+  // the raised cosine per burst.
   const auto diurnal_period = static_cast<std::uint32_t>(
       24 / std::gcd(config_.interval_hours, 24));
 
@@ -183,31 +179,28 @@ std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
     // The probe's last mile carries a temporally-correlated congestion
     // level, advanced once per tick.
     net::CongestionState congestion(model_->config(), rng);
-    const net::CachedProfile* cached_profile =
-        use_cache ? &cache_.profile(probe.id) : nullptr;
+    const net::CachedProfile& cached_profile = cache_.profile(probe.id);
     std::array<double, 24> diurnal_by_phase{};
-    if (use_cache) {
-      for (std::uint32_t k = 0; k < diurnal_period; ++k) {
-        const double utc_hour = static_cast<double>(
-            (static_cast<std::uint64_t>(k) * config_.interval_hours) % 24);
-        diurnal_by_phase[k] = model_->diurnal_load(probe.endpoint, utc_hour);
-      }
+    for (std::uint32_t k = 0; k < diurnal_period; ++k) {
+      const double utc_hour = static_cast<double>(
+          (static_cast<std::uint64_t>(k) * config_.interval_hours) % 24);
+      diurnal_by_phase[k] = model_->diurnal_load(probe.endpoint, utc_hour);
     }
 
     // Rolling rotation cursor: (rotation + tick * per_tick) % targets.size()
-    // maintained incrementally — same slots as the modulo form without a
-    // 64-bit division per burst. per_tick <= targets.size(), so a single
-    // conditional subtract wraps it. Advanced in the increment clause so
-    // offline / hung / quarantined ticks still rotate past their slots.
+    // maintained incrementally, without a 64-bit division per burst.
+    // per_tick <= targets.size(), so a single conditional subtract wraps
+    // it. Advanced in the increment clause so offline / hung / quarantined
+    // ticks still rotate past their slots.
     std::size_t slot_base = rotation;
     const auto advance_rotation = [&slot_base, per_tick, &targets] {
       slot_base += per_tick;
       if (slot_base >= targets.size()) slot_base -= targets.size();
     };
 
-    if (use_cache && !has_faults && !has_retry && !has_quarantine &&
+    if (!has_faults && !has_retry && !has_quarantine &&
         config_.probe_uptime >= 1.0) {
-      // Fault-free cached fast path — the perf-critical configuration (the
+      // Fault-free fast path — the perf-critical configuration (the
       // paper's campaigns inject no faults). Skipping the exposure /
       // perturbation / retry plumbing is exact: a neutral Perturbation and
       // a unit load multiplier are arithmetic identities (x * 1.0 == x,
@@ -230,7 +223,7 @@ std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
           if (slot >= target_count) slot -= target_count;
           const std::uint16_t region_index = target_ptr[slot];
           const net::PingResult ping =
-              model.ping_cached(paths[region_index], *cached_profile, packets,
+              model.ping_cached(paths[region_index], cached_profile, packets,
                                 tick_load, rng);
           Measurement m;
           m.probe_id = probe.id;
@@ -299,44 +292,17 @@ std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
                                            exposure.skew_ms,
                                            exposure.extra_loss}
                        : net::Perturbation{};
-        if (use_cache) {
-          // Same diurnal value as the recomputed one: the phase table
-          // holds model_->diurnal_load for every reachable utc_hour.
-          ++telemetry.bursts_cached;
-          const double load = diurnal_by_phase[attempt_tick % diurnal_period] *
-                              temporal_load * exposure.load_multiplier;
-          return model_->ping_cached(cache_.path(probe.id, region_index),
-                                     *cached_profile, config_.packets_per_ping,
-                                     load, perturbation, stream);
-        }
-        const double utc_hour = static_cast<double>(
-            (static_cast<std::uint64_t>(attempt_tick) *
-             config_.interval_hours) % 24);
-        const double load = model_->diurnal_load(probe.endpoint, utc_hour) *
+        ++telemetry.bursts_cached;
+        const double load = diurnal_by_phase[attempt_tick % diurnal_period] *
                             temporal_load * exposure.load_multiplier;
-        if (!has_faults) {
-          return model_->ping_loaded(probe.endpoint, *regions[region_index],
-                                     config_.packets_per_ping, load, stream);
-        }
-        return model_->ping_perturbed(probe.endpoint, *regions[region_index],
-                                      config_.packets_per_ping, load,
-                                      perturbation, stream);
+        return model_->ping_cached(cache_.path(probe.id, region_index),
+                                   cached_profile, config_.packets_per_ping,
+                                   load, perturbation, stream);
       };
 
       for (std::size_t j = 0; j < per_tick; ++j) {
-        std::size_t slot;
-        if (use_cache) {
-          slot = slot_base + j;
-          if (slot >= targets.size()) slot -= targets.size();
-        } else {
-          // The uncached engine is the benchmark baseline: it keeps the
-          // original modulo addressing (one 64-bit division per burst)
-          // that the rolling cursor above replaces. Equal by construction
-          // — slot_base == (rotation + tick * per_tick) mod size — so this
-          // only preserves the pre-change cost, not different slots.
-          slot = (rotation + static_cast<std::size_t>(tick) * per_tick + j) %
-                 targets.size();
-        }
+        std::size_t slot = slot_base + j;
+        if (slot >= targets.size()) slot -= targets.size();
         const std::uint16_t region_index = targets[slot];
         std::uint8_t mask = 0;
         net::PingResult ping = sample_attempt(tick, region_index, rng, mask);

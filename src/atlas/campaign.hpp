@@ -57,12 +57,6 @@ struct CampaignConfig {
   /// Worker threads; 0 = hardware concurrency. Results are identical
   /// regardless of thread count.
   unsigned threads = 0;
-  /// Precompute the probe × region sampling cache (path characteristics +
-  /// access profiles) at construction and sample through it. The cache
-  /// consumes no RNG draws, so output is byte-identical either way; off
-  /// recomputes the invariants per packet like the original engine
-  /// (kept for byte-identity tests and the perf-regression bench).
-  bool sampling_cache = true;
   /// Sample through the lane-batched SIMD kernel (net/burst_lanes.hpp):
   /// up to 8 probes advance together, with the transcendental math
   /// evaluated as vectorized array ops. Draw-for-draw aligned with the
@@ -70,10 +64,10 @@ struct CampaignConfig {
   /// masks) is identical — but RTT values go through polynomial exp/log
   /// and drift within a bounded epsilon, so batched datasets are gated
   /// by the scalar-vs-batched differential suite (src/check), not the
-  /// golden byte-identity checksums. Off by default. Requires the
-  /// sampling cache; configurations the kernel does not cover (retries,
-  /// quarantine, packets_per_ping > net::kMaxBatchedPackets) silently
-  /// fall back to the scalar engine — see batched_eligible().
+  /// golden byte-identity checksums. Off by default. Configurations the
+  /// kernel does not cover (retries, quarantine, packets_per_ping >
+  /// net::kMaxBatchedPackets) silently fall back to the scalar engine —
+  /// see batched_eligible().
   bool batched = false;
   /// Retry policy for fully-lost bursts; off by default.
   faults::RetryPolicy retry{};
@@ -153,9 +147,8 @@ class Campaign {
   [[nodiscard]] std::size_t expected_record_count() const;
 
   /// Whether run() will use the lane-batched kernel: config.batched is
-  /// set and the configuration is one the kernel covers (sampling cache
-  /// on, no retries, no quarantine, burst size within
-  /// net::kMaxBatchedPackets). Churn and fault schedules *are* covered —
+  /// set and the configuration is one the kernel covers (no retries, no
+  /// quarantine, burst size within net::kMaxBatchedPackets). Churn and fault schedules *are* covered —
   /// the SoA fault path keeps perturbed windows on the kernel.
   [[nodiscard]] bool batched_eligible() const noexcept;
 
@@ -214,8 +207,7 @@ class Campaign {
   MeasurementSink* sink_ = nullptr;                  ///< may be null
   /// Per-continent target lists, fallback included, precomputed once.
   std::vector<std::uint16_t> targets_by_continent_[geo::kContinentCount];
-  /// Probe × region sampling cache; empty when config.sampling_cache is
-  /// off.
+  /// Probe × region sampling cache, built once at construction.
   PathCache cache_;
 };
 

@@ -6,8 +6,8 @@
 // precomputed once — in parallel — instead of once per packet. The cache
 // holds a flat row-major matrix (probe-major: one contiguous row of
 // CachedPath per probe) plus one CachedProfile per probe. It is RNG-free
-// by construction, so campaigns sampling through it are byte-identical to
-// the recomputing engine and invariant across thread counts.
+// by construction, so bursts sampled through it are byte-identical to the
+// recomputing LatencyModel::ping_once and invariant across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@ namespace shears::atlas {
 
 class PathCache {
  public:
-  /// An empty cache (campaigns running with the cache disabled).
+  /// An empty cache; Campaign fills its member once the config validates.
   PathCache() = default;
 
   /// Precomputes the full probe × region matrix with `threads` workers

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "atlas/campaign.hpp"
+#include "atlas/path_cache.hpp"
 #include "check/property.hpp"
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
@@ -38,26 +40,96 @@ void require_identical(const World& world, const atlas::MeasurementDataset& a,
   }
 }
 
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
-      return false;
+    if (!same_bits(a[i], b[i])) return false;
   }
   return true;
 }
 
+/// A burst's fault perturbation: neutral (the fast loop's case),
+/// faulted, or a clock skew negative enough to hit the zero clamp.
+net::Perturbation draw_perturbation(Gen& gen) {
+  switch (gen.below(3)) {
+    case 0:
+      return {};
+    case 1:
+      return {gen.real_in(1.0, 3.0), gen.real_in(0.0, 20.0),
+              gen.real_in(0.0, 0.5)};
+    default:
+      return {1.0, -gen.real_in(0.0, 60.0), 0.0};
+  }
+}
+
 }  // namespace
 
-void check_cached_vs_uncached(const World& world) {
-  atlas::CampaignConfig config = world.campaign;
-  config.sampling_cache = true;
-  const atlas::MeasurementDataset cached = world.run_with(config);
-  config.sampling_cache = false;
-  const atlas::MeasurementDataset uncached = world.run_with(config);
-  require_identical(world, cached, uncached, "cached vs uncached engine");
-  if (dataset_checksum(cached) != dataset_checksum(uncached)) {
-    fail(world, "cached vs uncached engine: checksums diverge");
+void check_cached_vs_recomputing(Gen& gen, const World& world) {
+  const atlas::Campaign campaign(world.fleet, world.registry, world.model,
+                                 world.campaign);
+  const atlas::PathCache cache(world.fleet, world.registry, world.model, 1);
+  const net::LatencyModel& model = world.model;
+  const net::LatencyModelConfig& config = model.config();
+  const auto& regions = world.registry.regions();
+  const int packets = world.campaign.packets_per_ping;
+  stats::Xoshiro256 cached_rng(gen.u64());
+  stats::Xoshiro256 reference_rng = cached_rng;
+  for (const atlas::Probe& probe : world.fleet.probes()) {
+    const net::Endpoint& src = probe.endpoint;
+    const net::CachedProfile& profile = cache.profile(probe.id);
+    // The hoisted loss must be the one ping_once composes, bit for bit: a
+    // one-ulp change in a Bernoulli probability almost never flips a
+    // draw, so comparing bursts alone would not see it.
+    const double access_loss = model.access_profile_of(src).loss_rate;
+    if (!same_bits(profile.combined_loss,
+                   access_loss + config.core_loss_rate -
+                       access_loss * config.core_loss_rate)) {
+      fail(world, "cached vs recomputing: probe " + std::to_string(probe.id) +
+                      " combined loss differs");
+    }
+    for (const std::uint16_t r : campaign.targets_for(probe)) {
+      // Loads reach past the point where bufferbloat probability clamps
+      // at 1.
+      const double load = gen.chance(0.2) ? 1.0 : gen.real_in(0.2, 12.0);
+      const net::Perturbation perturbation = draw_perturbation(gen);
+      // The neutral overload is the fault-free fast loop's kernel; it
+      // draws the same stream, so either overload may stand in here.
+      const bool neutral_overload = perturbation.neutral() && gen.chance(0.5);
+      const net::PingResult got =
+          neutral_overload
+              ? model.ping_cached(cache.path(probe.id, r), profile, packets,
+                                  load, cached_rng)
+              : model.ping_cached(cache.path(probe.id, r), profile, packets,
+                                  load, perturbation, cached_rng);
+      const net::PingResult want = net::detail::aggregate_burst(packets, [&] {
+        return model.ping_once(src, *regions[r], reference_rng, load,
+                               perturbation);
+      });
+      if (got.sent != want.sent || got.received != want.received ||
+          !same_bits(got.min_ms, want.min_ms) ||
+          !same_bits(got.avg_ms, want.avg_ms) ||
+          !same_bits(got.max_ms, want.max_ms)) {
+        std::ostringstream msg;
+        msg.precision(17);
+        msg << "cached vs recomputing: probe " << probe.id << " region "
+            << r << " load " << load << " perturbation {"
+            << perturbation.latency_scale << ", " << perturbation.offset_ms
+            << ", " << perturbation.extra_loss << "}"
+            << (neutral_overload ? " (neutral overload)" : "")
+            << ": cached " << got.received << " received, min/avg/max "
+            << got.min_ms << "/" << got.avg_ms << "/" << got.max_ms
+            << "; recomputed " << want.received << " received, min/avg/max "
+            << want.min_ms << "/" << want.avg_ms << "/" << want.max_ms;
+        fail(world, msg.str());
+      }
+    }
+  }
+  if (cached_rng.next() != reference_rng.next()) {
+    fail(world, "cached vs recomputing: RNG streams out of step");
   }
 }
 
@@ -145,7 +217,6 @@ void check_batched_vs_scalar(const World& world) {
   // with churn enabled the up/down realisations would desync and the
   // record *structure* — which this oracle holds exactly — would
   // legitimately differ.
-  config.sampling_cache = true;
   config.retry = faults::RetryPolicy{};
   config.quarantine = faults::QuarantinePolicy{};
   config.probe_uptime = 1.0;

@@ -10,9 +10,14 @@
 
 namespace shears::check {
 
-/// ping_cached vs ping: the precomputed sampling cache must be
-/// byte-identical to the per-packet recomputing engine.
-void check_cached_vs_uncached(const World& world);
+/// ping_cached vs the recomputing ping_once, at kernel level: for every
+/// probe and every region in its campaign target list, a burst sampled
+/// from the world's PathCache must be bit-equal to
+/// net::detail::aggregate_burst over ping_once under the same load and
+/// perturbation (both drawn from `gen`: neutral, faulted, and negative
+/// clock skew), the two RNG streams must end aligned, and each probe's
+/// hoisted loss must equal the one ping_once composes.
+void check_cached_vs_recomputing(Gen& gen, const World& world);
 
 /// Campaign determinism across worker counts: 1 thread vs 8 threads.
 void check_campaign_thread_invariance(const World& world);

@@ -116,7 +116,6 @@ atlas::CampaignConfig make_campaign_config(Gen& gen) {
   config.probe_uptime = gen.chance(0.7) ? 1.0 : gen.real_in(0.5, 1.0);
   config.seed = gen.u64();
   config.threads = 1;
-  config.sampling_cache = true;
   if (gen.chance(0.3)) {
     config.retry.max_retries = gen.int_in(1, 2);
     config.retry.backoff_cap_ticks =

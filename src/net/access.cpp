@@ -41,49 +41,11 @@ AccessProfile profile_for(AccessTechnology t,
   return p;
 }
 
-namespace {
-
-// The pre-cache engine compiled the distribution samplers in their own
-// translation unit, so every recomputed access sample paid real call
-// boundaries. These wrappers preserve those boundaries for this
-// (reference) entry point — the cached kernel uses the header-inlined
-// samplers instead. Letting the optimiser inline through here would make
-// the benchmark baseline faster than the engine it stands in for.
-[[gnu::noinline]] double lognormal_median_call(stats::Xoshiro256& rng,
-                                               double median,
-                                               double spread) noexcept {
-  return stats::sample_lognormal_median(rng, median, spread);
-}
-
-[[gnu::noinline]] double weibull_call(stats::Xoshiro256& rng, double shape,
-                                      double scale) noexcept {
-  return stats::sample_weibull(rng, shape, scale);
-}
-
-}  // namespace
-
 double sample_access_latency(const AccessProfile& profile,
                              stats::Xoshiro256& rng) noexcept {
-  // Verbatim pre-cache body (bit-identical to sample_access_latency_raw
-  // with this profile's derived log-spread).
-  double latency = lognormal_median_call(rng, profile.median_ms,
-                                         profile.spread);
-  if (rng.bernoulli(profile.bloat_probability)) {
-    // Bufferbloat episode: shape < 1 gives the heavy upper tail observed
-    // on loaded cellular links (occasionally whole seconds).
-    latency += weibull_call(rng, 0.8, profile.bloat_scale_ms);
-  }
-  // A physical floor: no access technology contributes negative latency,
-  // and even ideal ethernet costs a few hundred microseconds round trip.
-  return latency < 0.2 ? 0.2 : latency;
-}
-
-double sample_access_latency_presigma(const AccessProfile& profile,
-                                      double log_spread,
-                                      stats::Xoshiro256& rng) noexcept {
-  return sample_access_latency_raw(profile.median_ms, log_spread,
-                                   profile.bloat_probability,
-                                   profile.bloat_scale_ms, rng);
+  return sample_access_latency_raw(
+      profile.median_ms, stats::lognormal_sigma_of_spread(profile.spread),
+      profile.bloat_probability, profile.bloat_scale_ms, rng);
 }
 
 }  // namespace shears::net

@@ -81,13 +81,6 @@ struct AccessProfile {
 [[nodiscard]] double sample_access_latency(const AccessProfile& profile,
                                            stats::Xoshiro256& rng) noexcept;
 
-/// Hot-path variant with the profile's log-spread
-/// (stats::lognormal_sigma_of_spread(profile.spread)) hoisted out of the
-/// per-packet loop. Same draws, bit-identical samples.
-[[nodiscard]] double sample_access_latency_presigma(
-    const AccessProfile& profile, double log_spread,
-    stats::Xoshiro256& rng) noexcept;
-
 /// Lowest-level access sampler over the already load-adjusted fields; the
 /// campaign's cached hot path hoists the adjustment out of the packet
 /// loop. Same draws, bit-identical samples. Inline: this runs once per

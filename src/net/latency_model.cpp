@@ -50,67 +50,6 @@ double local_hour_at(double utc_hour, double lon_deg) noexcept {
   return h < 0.0 ? h + 24.0 : h;
 }
 
-namespace {
-
-// The pre-cache engine compiled the distribution samplers in their own
-// translation unit, so every recomputed packet paid real call boundaries
-// here. These wrappers preserve those boundaries for the reference
-// sampler below — the cached kernel uses the header-inlined samplers
-// instead. Letting the optimiser inline through here would make the
-// reference faster than the engine it stands in for and understate the
-// recorded speedup.
-[[gnu::noinline]] double lognormal_median_call(stats::Xoshiro256& rng,
-                                               double median,
-                                               double spread) noexcept {
-  return stats::sample_lognormal_median(rng, median, spread);
-}
-
-[[gnu::noinline]] double pareto_call(stats::Xoshiro256& rng, double min_value,
-                                     double alpha) noexcept {
-  return stats::sample_pareto(rng, min_value, alpha);
-}
-
-/// The recomputing (uncached) sampler — a verbatim replica of the
-/// original per-packet engine, kept as the reference the sampling cache
-/// is byte-compared and benchmarked against. Same draws, same arithmetic
-/// as the cached kernel (the determinism suite pins both to the same
-/// golden checksums), and the same per-packet cost as the engine it
-/// replaces, so the recorded speedup is the real one.
-PingObservation sample_ping(const LatencyModelConfig& config,
-                            const LatencyModel& model, const Endpoint& src,
-                            const topology::CloudRegion& dst,
-                            double load_factor,
-                            const Perturbation& perturbation,
-                            stats::Xoshiro256& rng) noexcept {
-  AccessProfile profile = model.access_profile_of(src);
-  profile.median_ms *= load_factor;
-  profile.bloat_probability =
-      std::min(profile.bloat_probability * load_factor, 1.0);
-
-  double loss =
-      profile.loss_rate + config.core_loss_rate -
-      profile.loss_rate * config.core_loss_rate;  // independent losses
-  loss = loss + perturbation.extra_loss - loss * perturbation.extra_loss;
-  if (rng.bernoulli(loss)) return {true, 0.0};
-
-  const PathCharacteristics path = model.path_to(src, dst);
-  const double base = path.base_rtt_ms();
-  double rtt = base;
-  if (config.excess_fraction > 0.0) {
-    rtt += lognormal_median_call(rng, base * config.excess_fraction,
-                                 config.excess_spread);
-  }
-  rtt *= perturbation.latency_scale;  // route detour scales transit only
-  rtt += sample_access_latency(profile, rng);
-  if (rng.bernoulli(config.spike_probability)) {
-    rtt += pareto_call(rng, config.spike_min_ms, config.spike_alpha);
-  }
-  rtt = std::max(0.0, rtt + perturbation.offset_ms);
-  return {false, rtt};
-}
-
-}  // namespace
-
 CachedPath LatencyModel::cache_path(
     const Endpoint& src, const topology::CloudRegion& dst) const noexcept {
   CachedPath c;
@@ -131,10 +70,37 @@ CachedProfile LatencyModel::cache_profile(
   return c;
 }
 
-PingObservation LatencyModel::ping_once(const Endpoint& src,
-                                        const topology::CloudRegion& dst,
-                                        stats::Xoshiro256& rng) const noexcept {
-  return sample_ping(config_, *this, src, dst, 1.0, {}, rng);
+PingObservation LatencyModel::ping_once(
+    const Endpoint& src, const topology::CloudRegion& dst,
+    stats::Xoshiro256& rng, double load_factor,
+    const Perturbation& perturbation) const noexcept {
+  // Everything is recomputed per echo on purpose: this is the reference
+  // the cached kernel (detail::sample_ping over hoisted BurstState) must
+  // reproduce draw for draw and bit for bit.
+  AccessProfile profile = access_profile_of(src);
+  profile.median_ms *= load_factor;
+  profile.bloat_probability =
+      std::min(profile.bloat_probability * load_factor, 1.0);
+
+  double loss =
+      profile.loss_rate + config_.core_loss_rate -
+      profile.loss_rate * config_.core_loss_rate;  // independent losses
+  loss = loss + perturbation.extra_loss - loss * perturbation.extra_loss;
+  if (rng.bernoulli(loss)) return {true, 0.0};
+
+  const double base = path_to(src, dst).base_rtt_ms();
+  double rtt = base;
+  if (config_.excess_fraction > 0.0) {
+    rtt += stats::sample_lognormal_median(rng, base * config_.excess_fraction,
+                                          config_.excess_spread);
+  }
+  rtt *= perturbation.latency_scale;  // route detour scales transit only
+  rtt += sample_access_latency(profile, rng);
+  if (rng.bernoulli(config_.spike_probability)) {
+    rtt += stats::sample_pareto(rng, config_.spike_min_ms, config_.spike_alpha);
+  }
+  rtt = std::max(0.0, rtt + perturbation.offset_ms);
+  return {false, rtt};
 }
 
 double LatencyModel::diurnal_load(const Endpoint& src,
@@ -143,13 +109,6 @@ double LatencyModel::diurnal_load(const Endpoint& src,
                    diurnal_weight(
                        local_hour_at(utc_hour, src.location.lon_deg),
                        config_.diurnal_peak_hour);
-}
-
-PingObservation LatencyModel::ping_once_at(
-    const Endpoint& src, const topology::CloudRegion& dst, double utc_hour,
-    stats::Xoshiro256& rng) const noexcept {
-  return sample_ping(config_, *this, src, dst, diurnal_load(src, utc_hour),
-                     {}, rng);
 }
 
 CongestionState::CongestionState(const LatencyModelConfig& config,
@@ -172,42 +131,5 @@ double CongestionState::step(const LatencyModelConfig& config,
 }
 
 double CongestionState::load() const noexcept { return std::exp(c_); }
-
-using detail::aggregate_burst;
-
-PingResult LatencyModel::ping(const Endpoint& src,
-                              const topology::CloudRegion& dst, int packets,
-                              stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(packets,
-                         [&] { return ping_once(src, dst, rng); });
-}
-
-PingResult LatencyModel::ping_at(const Endpoint& src,
-                                 const topology::CloudRegion& dst, int packets,
-                                 double utc_hour,
-                                 stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(
-      packets, [&] { return ping_once_at(src, dst, utc_hour, rng); });
-}
-
-PingResult LatencyModel::ping_loaded(const Endpoint& src,
-                                     const topology::CloudRegion& dst,
-                                     int packets, double load_factor,
-                                     stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(packets, [&] {
-    return sample_ping(config_, *this, src, dst, load_factor, {}, rng);
-  });
-}
-
-PingResult LatencyModel::ping_perturbed(const Endpoint& src,
-                                        const topology::CloudRegion& dst,
-                                        int packets, double load_factor,
-                                        const Perturbation& perturbation,
-                                        stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(packets, [&] {
-    return sample_ping(config_, *this, src, dst, load_factor, perturbation,
-                       rng);
-  });
-}
 
 }  // namespace shears::net

@@ -49,8 +49,8 @@ struct LatencyModelConfig {
   /// Diurnal load cycle: access networks congest in the local evening.
   /// The access median and bufferbloat probability are multiplied by
   /// 1 + amplitude * w(h), where w is a raised cosine peaking at
-  /// `diurnal_peak_hour` local time. 0 disables (the timeless ping
-  /// overloads always behave as off-peak).
+  /// `diurnal_peak_hour` local time. 0 disables (ping_once at its default
+  /// load of 1 is always off-peak).
   double diurnal_amplitude = 0.15;
   double diurnal_peak_hour = 20.0;
 
@@ -170,44 +170,17 @@ class LatencyModel {
   [[nodiscard]] AccessProfile access_profile_of(
       const Endpoint& src) const noexcept;
 
-  /// Samples a single echo observation at off-peak load.
-  [[nodiscard]] PingObservation ping_once(const Endpoint& src,
-                                          const topology::CloudRegion& dst,
-                                          stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a single echo observation at the given UTC hour, applying
-  /// the diurnal load cycle at the endpoint's local time.
-  [[nodiscard]] PingObservation ping_once_at(
-      const Endpoint& src, const topology::CloudRegion& dst, double utc_hour,
-      stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a ping burst of `packets` echoes (Atlas default 3),
-  /// off-peak.
-  [[nodiscard]] PingResult ping(const Endpoint& src,
-                                const topology::CloudRegion& dst, int packets,
-                                stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a ping burst at the given UTC hour (diurnal-aware).
-  [[nodiscard]] PingResult ping_at(const Endpoint& src,
-                                   const topology::CloudRegion& dst,
-                                   int packets, double utc_hour,
-                                   stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a ping burst under an explicit last-mile load multiplier
-  /// (diurnal x temporal congestion, as composed by the campaign).
-  [[nodiscard]] PingResult ping_loaded(const Endpoint& src,
-                                       const topology::CloudRegion& dst,
-                                       int packets, double load_factor,
-                                       stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a ping burst under an explicit load multiplier *and* a fault
-  /// perturbation. With a neutral perturbation this is bit-identical to
-  /// ping_loaded (same draws, same arithmetic).
-  [[nodiscard]] PingResult ping_perturbed(const Endpoint& src,
-                                          const topology::CloudRegion& dst,
-                                          int packets, double load_factor,
-                                          const Perturbation& perturbation,
-                                          stats::Xoshiro256& rng) const noexcept;
+  /// Samples a single echo observation, recomputing the path and access
+  /// profile from scratch, under a last-mile load multiplier (1 is
+  /// off-peak; diurnal_load(src, h) is the diurnal cycle at UTC hour h,
+  /// and the campaign multiplies in its temporal congestion) and a fault
+  /// perturbation. This is the reference the cached kernel is compared
+  /// against: ping_cached draws the same stream and yields the same bits
+  /// as detail::aggregate_burst over this.
+  [[nodiscard]] PingObservation ping_once(
+      const Endpoint& src, const topology::CloudRegion& dst,
+      stats::Xoshiro256& rng, double load_factor = 1.0,
+      const Perturbation& perturbation = {}) const noexcept;
 
   /// The diurnal load multiplier the model applies at a UTC hour for an
   /// endpoint's longitude.
@@ -225,9 +198,10 @@ class LatencyModel {
       const Endpoint& src) const noexcept;
 
   /// Samples a ping burst from precomputed state. Bit-identical to
-  /// ping_perturbed(src, dst, ...) when `path` / `profile` were produced
-  /// by cache_path / cache_profile for the same (src, dst): the cache
-  /// consumes no RNG draws, so the streams stay aligned.
+  /// detail::aggregate_burst over ping_once(src, dst, rng, load_factor,
+  /// perturbation) when `path` / `profile` were produced by cache_path /
+  /// cache_profile for the same (src, dst): the cache consumes no RNG
+  /// draws, so the streams stay aligned.
   [[nodiscard]] PingResult ping_cached(const CachedPath& path,
                                        const CachedProfile& profile,
                                        int packets, double load_factor,
@@ -293,10 +267,10 @@ inline BurstState make_burst_state(const CachedPath& path,
   return s;
 }
 
-/// One simulated echo. Inline (with the samplers it calls) because a
-/// nine-month campaign runs this tens of millions of times; the cached
-/// and recomputing engines share it, which is what makes them
-/// byte-identical.
+/// One simulated echo from hoisted burst state. Inline (with the samplers
+/// it calls) because a nine-month campaign runs this tens of millions of
+/// times. It draws and computes exactly what LatencyModel::ping_once
+/// does from scratch, which is what makes the two byte-identical.
 inline PingObservation sample_ping(const LatencyModelConfig& config,
                                    const BurstState& s,
                                    stats::Xoshiro256& rng) noexcept {

@@ -30,12 +30,10 @@
 #include "apps/application.hpp"
 #include "apps/thresholds.hpp"
 #include "atlas/campaign.hpp"
-#include "atlas/credits.hpp"
 #include "atlas/isp.hpp"
 #include "atlas/measurement.hpp"
 #include "atlas/placement.hpp"
 #include "atlas/probe.hpp"
-#include "atlas/selection.hpp"
 #include "atlas/tags.hpp"
 #include "core/access_comparison.hpp"
 #include "core/analysis.hpp"
@@ -78,7 +76,6 @@
 #include "stats/bootstrap.hpp"
 #include "stats/distributions.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
 #include "stats/p2_quantile.hpp"
 #include "stats/ranktest.hpp"
 #include "stats/regression.hpp"

@@ -1,5 +1,5 @@
-// Differential oracles over generated worlds: cached vs uncached engine,
-// 1 vs 8 campaign threads, serial vs sharded analyses, CSV/JSONL round
+// Differential oracles over generated worlds: cached vs recomputing burst
+// kernel, 1 vs 8 campaign threads, serial vs sharded analyses, CSV/JSONL round
 // trips, and the empty-schedule ≡ clean-engine identity. Each oracle must
 // agree bit for bit on every world the generator can produce.
 #include <gtest/gtest.h>
@@ -12,12 +12,12 @@
 namespace shears::check {
 namespace {
 
-TEST(Differential, CachedVsUncachedEngine) {
+TEST(Differential, CachedVsRecomputingKernel) {
   const CheckResult result = check(
-      "cached_vs_uncached",
+      "cached_vs_recomputing",
       [](Gen& gen) {
         const World world = make_world(gen);
-        check_cached_vs_uncached(world);
+        check_cached_vs_recomputing(gen, world);
       },
       8);
   EXPECT_TRUE(result.passed) << result.banner;

@@ -162,6 +162,8 @@ TEST(Scenario, RejectsUnknownKeysAndProviders) {
                std::runtime_error);
   EXPECT_THROW(parse_scenario_string("[footprint]\nproviders = Initech\n"),
                std::runtime_error);
+  EXPECT_THROW(parse_scenario_string("[campaign]\nsampling_cache = false\n"),
+               std::runtime_error);
 }
 
 TEST(Scenario, RejectsOutOfRangeValues) {

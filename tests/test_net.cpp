@@ -235,7 +235,8 @@ TEST(LatencyModel, PingBurstAggregatesCorrectly) {
   ASSERT_NE(region, nullptr);
   stats::Xoshiro256 rng(88);
   for (int i = 0; i < 2000; ++i) {
-    const PingResult r = model.ping(src, *region, 3, rng);
+    const PingResult r = detail::aggregate_burst(
+        3, [&] { return model.ping_once(src, *region, rng); });
     EXPECT_EQ(r.sent, 3);
     EXPECT_LE(r.received, 3);
     if (r.received > 0) {
@@ -338,12 +339,14 @@ TEST(LatencyModel, EveningPingsAreSlowerThanNightPings) {
   ASSERT_NE(region, nullptr);
   stats::Xoshiro256 rng(1234);
   // Paris is ~UTC; local evening ~ 20h UTC, deep night ~ 4h UTC.
+  const double evening_load = model.diurnal_load(src, 20.0);
+  const double night_load = model.diurnal_load(src, 4.0);
   stats::Summary evening;
   stats::Summary night;
   for (int i = 0; i < 40000; ++i) {
-    const PingObservation e = model.ping_once_at(src, *region, 20.0, rng);
+    const PingObservation e = model.ping_once(src, *region, rng, evening_load);
     if (!e.lost) evening.add(e.rtt_ms);
-    const PingObservation n = model.ping_once_at(src, *region, 4.0, rng);
+    const PingObservation n = model.ping_once(src, *region, rng, night_load);
     if (!n.lost) night.add(n.rtt_ms);
   }
   EXPECT_GT(evening.mean(), night.mean() * 1.05);
@@ -360,7 +363,8 @@ TEST(LatencyModel, ZeroAmplitudeDisablesDiurnal) {
   stats::Xoshiro256 a(7);
   stats::Xoshiro256 b(7);
   for (int i = 0; i < 1000; ++i) {
-    const PingObservation peak = model.ping_once_at(src, *region, 20.0, a);
+    const PingObservation peak =
+        model.ping_once(src, *region, a, model.diurnal_load(src, 20.0));
     const PingObservation off = model.ping_once(src, *region, b);
     EXPECT_EQ(peak.lost, off.lost);
     if (!peak.lost) {

@@ -250,22 +250,6 @@ TEST(CampaignObservability, CountersMatchCampaignGroundTruth) {
   EXPECT_EQ(snap.find("faults.activations.region-outage"), nullptr);
 }
 
-TEST(CampaignObservability, UncachedRunRecordsNoCacheHits) {
-  const auto fleet = small_fleet();
-  const auto registry = topology::CloudRegistry::campaign_footprint();
-  const net::LatencyModel model;
-  atlas::CampaignConfig cc = small_config();
-  cc.sampling_cache = false;
-
-  atlas::Campaign campaign(fleet, registry, model, cc);
-  obs::MetricsRegistry metrics;
-  campaign.attach_metrics(&metrics);
-  const auto dataset = campaign.run();
-  const obs::Snapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.counter("campaign.bursts"), dataset.size());
-  EXPECT_EQ(snap.counter("campaign.path_cache_hits"), 0u);
-}
-
 TEST(CampaignObservability, FaultedRunPublishesPerKindActivations) {
   const auto fleet = small_fleet();
   const auto registry = topology::CloudRegistry::campaign_footprint();

@@ -1,5 +1,5 @@
 // Unit and property tests for the stats foundation: RNG determinism,
-// distribution sanity, summaries, ECDFs, histograms, regression, bootstrap.
+// distribution sanity, summaries, ECDFs, regression, bootstrap.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "stats/bootstrap.hpp"
 #include "stats/distributions.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
@@ -279,40 +278,6 @@ TEST_P(EcdfProperty, QuantileFractionRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcdfProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-TEST(Histogram, CountsAndOverflow) {
-  Histogram h(0.0, 100.0, 10);
-  h.add(-1.0);
-  h.add(5.0);
-  h.add(15.0);
-  h.add(99.9);
-  h.add(150.0);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(1), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(LogHistogram, DecadeBins) {
-  LogHistogram h(1.0, 1000.0, 1);
-  h.add(2.0);
-  h.add(20.0);
-  h.add(200.0);
-  const auto bins = h.bins();
-  ASSERT_EQ(bins.size(), 3u);
-  EXPECT_EQ(bins[0].count, 1u);
-  EXPECT_EQ(bins[1].count, 1u);
-  EXPECT_EQ(bins[2].count, 1u);
-  EXPECT_NEAR(bins[0].lower, 1.0, 1e-9);
-  EXPECT_NEAR(bins[2].upper, 1000.0, 1e-6);
-}
 
 TEST(Regression, RecoversLine) {
   std::vector<double> x;
