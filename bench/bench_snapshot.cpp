@@ -15,6 +15,9 @@
 // bit-exact against the recorded scalars — are timed and recorded
 // alongside. Every loaded store must reproduce the saved image
 // byte-for-byte when re-serialised: always asserted, never relaxed.
+// So must the loaded store's size: the serve.store.sample_bytes gauge
+// may not exceed 18 B a stored row (four columns plus one sorted float
+// copy in the cells).
 // Numbers land in the bench JSON (SHEARS_BENCH_JSON) — see
 // bench/run_benches.sh, which routes them to results/BENCH_serve.json.
 #include <chrono>
@@ -25,6 +28,7 @@
 
 #include "atlas/campaign.hpp"
 #include "bench_common.hpp"
+#include "obs/metrics.hpp"
 #include "serve/columnar.hpp"
 #include "serve/snapshot.hpp"
 
@@ -126,11 +130,26 @@ int main(int argc, char** argv) {
       path, &standard.fleet, &standard.registry, serve::StoreConfig{0}, lazy);
   const double lazy_s = seconds_since(start);
   bench::bench_record("snapshot_load_lazy", lazy_s, rows);
+  obs::MetricsRegistry metrics;
+  restored.attach_metrics(&metrics);
   restored.refresh();
+  restored.attach_metrics(nullptr);
   if (!image_identical(restored, expected_image, "mmap, lazy")) return 1;
   std::printf("load (mmap, lazy): %.3f s — re-saved image byte-identical\n",
               lazy_s);
   std::remove(path.c_str());
+
+  // Resident sample bytes of the loaded store: the four columns (14 B a
+  // row) plus the one sorted float copy in the cells (4 B). More means a
+  // second copy of the samples or growth slack crept back in.
+  const double bytes_per_row =
+      metrics.gauge("serve.store.sample_bytes").value() / rows;
+  bench::bench_record_value("snapshot_sample_bytes_per_row", bytes_per_row);
+  std::printf("store samples: %.2f B a row (gate 18)\n", bytes_per_row);
+  if (bytes_per_row > 18.0) {
+    std::printf("FAIL: store keeps more than 18 B a row of samples\n");
+    return 1;
+  }
 
   const double speedup = lazy_s > 0.0 ? replay_s / lazy_s : 0.0;
   bench::bench_record_value("snapshot_vs_replay_speedup", speedup);

@@ -5,7 +5,6 @@
 
 #include "core/parallel.hpp"
 #include "net/access.hpp"
-#include "stats/ecdf.hpp"
 
 namespace shears::opt {
 
@@ -22,13 +21,6 @@ constexpr std::size_t kAccess = net::kAccessTechnologyCount;
 [[nodiscard]] std::uint64_t cell_key(std::size_t country_index,
                                      std::size_t access) noexcept {
   return rollup_key(country_index) + 1 + access;
-}
-
-void finish_cell(serve::RegionStats& cell) {
-  cell.count = cell.ecdf.size();
-  cell.min_ms = cell.ecdf.min();
-  cell.median_ms = cell.ecdf.quantile(0.5);
-  cell.p95_ms = cell.ecdf.quantile(0.95);
 }
 
 }  // namespace
@@ -179,7 +171,7 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
   if (todo.empty()) return view;
 
   // Recompute each affected cell from its raw columns with the same
-  // bucket → sort → from_sorted pipeline as ColumnarStore::refresh —
+  // bucket → sort → summarise_cell pipeline as ColumnarStore::refresh —
   // the first half of the bit-exactness contract.
   const std::size_t regions = store_->registry().size();
   const float route = static_cast<float>(delta.route_scale);
@@ -193,25 +185,25 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
   core::parallel_largest_first(weights, config_.threads, [&](std::size_t k) {
     const serve::ColumnarStore::ShardView& shard = shards_[todo[k]];
     const float relief = relief_for(shard, delta.wireless_scale);
-    std::vector<std::vector<double>> samples(regions);
+    std::vector<std::vector<float>> samples(regions);
     for (std::size_t i = 0; i < shard.rtt_ms.size(); ++i) {
       const float be =
           best_edge.empty() ? kInf : best_edge[shard.probe_ids[i]];
-      samples[shard.region_index[i]].push_back(static_cast<double>(
-          transform_rtt(shard.rtt_ms[i], relief, route, be)));
+      samples[shard.region_index[i]].push_back(
+          transform_rtt(shard.rtt_ms[i], relief, route, be));
     }
     cells[k].assign(regions, serve::RegionStats{});
     for (std::size_t r = 0; r < regions; ++r) {
       if (samples[r].empty()) continue;
       std::sort(samples[r].begin(), samples[r].end());
       serve::RegionStats& cell = cells[k][r];
-      cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
-      finish_cell(cell);
+      cell.sorted = std::move(samples[r]);
+      serve::summarise_cell(cell);
     }
   });
 
-  // Affected-country rollups: merge per-access cell ecdfs in access
-  // order exactly like ColumnarStore::refresh_country, pulling the
+  // Affected-country rollups: select across the per-access cells' runs
+  // exactly like ColumnarStore::refresh_country, pulling the
   // transformed table where the cell changed and the base table where
   // it did not.
   std::vector<std::size_t> substituted_cell(geo::country_count() * kAccess,
@@ -247,17 +239,14 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
     }
     rollups[k].assign(regions, serve::RegionStats{});
     for (std::size_t r = 0; r < regions; ++r) {
-      std::array<const stats::Ecdf*, kAccess> parts{};
-      std::size_t used = 0;
+      std::array<std::span<const float>, kAccess> runs;
+      bool any = false;
       for (std::size_t a = 0; a < kAccess; ++a) {
         if (tables[a].empty() || tables[a][r].empty()) continue;
-        parts[used++] = &tables[a][r].ecdf;
+        runs[a] = tables[a][r].sorted;
+        any = true;
       }
-      if (used == 0) continue;
-      serve::RegionStats& cell = rollups[k][r];
-      cell.ecdf = stats::Ecdf::merged(
-          std::span<const stats::Ecdf* const>(parts.data(), used));
-      finish_cell(cell);
+      if (any) serve::summarise_rollup(rollups[k][r], runs);
     }
   });
 

@@ -15,11 +15,12 @@
 //   * Every transformed sample is produced by one shared per-row float
 //     transform (transform_rtt). The overlay recomputes affected cells
 //     from the store's raw shard columns with the same bucket → sort →
-//     Ecdf::from_sorted pipeline as ColumnarStore::refresh; the rebuild
-//     reference materialises transformed measurement rows and runs the
-//     store's own build. Same multiset, same machinery → bit-exact
-//     summaries, so an overlay-answered batch equals a rebuilt-store
-//     batch byte for byte.
+//     summarise_cell pipeline as ColumnarStore::refresh, and their
+//     country rollups by the same selection across the cells' runs
+//     (summarise_rollup); the rebuild reference materialises
+//     transformed measurement rows and runs the store's own build. Same
+//     multiset, same machinery → bit-exact summaries, so an
+//     overlay-answered batch equals a rebuilt-store batch byte for byte.
 //   * The identity delta is a bitwise no-op: rtt * 1.0f == rtt,
 //     v - 0.0f == v, and stored samples already sit on or above the
 //     0.2 ms access floor.

@@ -21,15 +21,34 @@ constexpr std::uint32_t kSkipKey = 0xffffffffu;
 /// std::uint32_t offsets, so a shard can never exceed 2^32 - 1 rows.
 constexpr std::uint64_t kMaxShardRows = 0xffffffffu;
 
-/// Fills a cell's scalars from its (non-empty) Ecdf.
-void summarise(RegionStats& cell) {
-  cell.count = cell.ecdf.size();
-  cell.min_ms = cell.ecdf.min();
-  cell.median_ms = cell.ecdf.quantile(0.5);
-  cell.p95_ms = cell.ecdf.quantile(0.95);
+}  // namespace
+
+void summarise_cell(RegionStats& cell) {
+  const std::vector<float>& run = cell.sorted;
+  const auto kth = [&run](std::size_t k) { return run[k]; };
+  cell.count = run.size();
+  cell.min_ms = static_cast<double>(run.front());
+  cell.median_ms = type7_quantile(run.size(), 0.5, kth);
+  cell.p95_ms = type7_quantile(run.size(), 0.95, kth);
 }
 
-}  // namespace
+void summarise_rollup(RegionStats& rollup,
+                      std::span<const std::span<const float>> runs) {
+  std::size_t n = 0;
+  float min = 0.0f;
+  for (const std::span<const float> run : runs) {
+    if (run.empty()) continue;
+    min = n == 0 ? run.front() : std::min(min, run.front());
+    n += run.size();
+  }
+  const auto kth = [runs](std::size_t k) {
+    return kth_smallest_of_runs(runs, k);
+  };
+  rollup.count = n;
+  rollup.min_ms = static_cast<double>(min);
+  rollup.median_ms = type7_quantile(n, 0.5, kth);
+  rollup.p95_ms = type7_quantile(n, 0.95, kth);
+}
 
 std::size_t country_index_of(const geo::Country* country) {
   const std::span<const geo::Country> all = geo::all_countries();
@@ -202,34 +221,37 @@ void ColumnarStore::refresh_group(KeyGroup& group) {
   const std::size_t end = group.rtt_ms.size();
 
   // Bucket the rows the summaries do not cover yet, each region's bucket
-  // sized exactly by a count pass (a cell keeps its vector for the life
-  // of the store, so growth slack would be resident memory).
+  // sized exactly by a count pass (a cell keeps its run for the life of
+  // the store, so growth slack would be resident memory).
   std::vector<std::uint32_t> counts(regions, 0);
   for (std::size_t i = begin; i < end; ++i) ++counts[group.region_index[i]];
-  std::vector<std::vector<double>> samples(regions);
+  std::vector<std::vector<float>> samples(regions);
   for (std::size_t r = 0; r < regions; ++r) samples[r].reserve(counts[r]);
   for (std::size_t i = begin; i < end; ++i) {
-    samples[group.region_index[i]].push_back(
-        static_cast<double>(group.rtt_ms[i]));
+    samples[group.region_index[i]].push_back(group.rtt_ms[i]);
   }
 
   if (group.stats.empty()) group.stats.resize(regions);
   for (std::size_t r = 0; r < regions; ++r) {
-    if (samples[r].empty()) continue;
-    std::sort(samples[r].begin(), samples[r].end());
-    stats::Ecdf fresh = stats::Ecdf::from_sorted(std::move(samples[r]));
+    std::vector<float>& fresh = samples[r];
+    if (fresh.empty()) continue;
+    std::sort(fresh.begin(), fresh.end());
     RegionStats& cell = group.stats[r];
-    KeyGroup::Fold& fold =
-        group.folded.emplace_back(static_cast<std::uint16_t>(r));
     if (cell.empty()) {
-      // All-new cell: the rollup reads the cell itself as the delta.
-      cell.ecdf = std::move(fresh);
+      cell.sorted = std::move(fresh);
     } else {
-      const std::array<const stats::Ecdf*, 2> parts{&fresh, &cell.ecdf};
-      cell.ecdf = stats::Ecdf::merged(parts);
-      fold.delta = std::move(fresh);
+      // Merge into a new exactly-sized run; the old one is released.
+      std::vector<float> merged(cell.sorted.size() + fresh.size());
+      std::merge(cell.sorted.begin(), cell.sorted.end(), fresh.begin(),
+                 fresh.end(), merged.begin());
+      cell.sorted = std::move(merged);
     }
-    summarise(cell);
+    summarise_cell(cell);
+    group.folded.push_back(static_cast<std::uint16_t>(r));
+  }
+  group.run_bytes = 0;
+  for (const RegionStats& cell : group.stats) {
+    group.run_bytes += cell.sorted.capacity() * sizeof(float);
   }
   group.summarised = end;
 }
@@ -240,28 +262,20 @@ void ColumnarStore::refresh_country(std::size_t country_idx) {
   std::vector<RegionStats>& rollup = country_stats_[country_idx];
   if (rollup.empty()) rollup.resize(regions);
 
-  // Per region: the new samples of each access shard that folded rows
-  // into it (null: none), then the old rollup cell (skipped while empty).
-  std::vector<std::array<const stats::Ecdf*, kAccess + 1>> parts(regions);
   std::vector<bool> touched(regions, false);
   for (std::size_t a = 0; a < kAccess; ++a) {
-    const KeyGroup& group = groups_[country_idx * kAccess + a];
-    for (const KeyGroup::Fold& fold : group.folded) {
-      parts[fold.region][a] = fold.delta.empty()
-                                  ? &group.stats[fold.region].ecdf
-                                  : &fold.delta;
-      touched[fold.region] = true;
-    }
+    KeyGroup& group = groups_[country_idx * kAccess + a];
+    for (const std::uint16_t r : group.folded) touched[r] = true;
+    group.folded = {};
   }
   for (std::size_t r = 0; r < regions; ++r) {
     if (!touched[r]) continue;
-    RegionStats& cell = rollup[r];
-    parts[r][kAccess] = &cell.ecdf;
-    cell.ecdf = stats::Ecdf::merged(parts[r]);
-    summarise(cell);
-  }
-  for (std::size_t a = 0; a < kAccess; ++a) {
-    groups_[country_idx * kAccess + a].folded = {};
+    std::array<std::span<const float>, kAccess> runs;
+    for (std::size_t a = 0; a < kAccess; ++a) {
+      const KeyGroup& group = groups_[country_idx * kAccess + a];
+      if (!group.stats.empty()) runs[a] = group.stats[r].sorted;
+    }
+    summarise_rollup(rollup[r], runs);
   }
 }
 
@@ -284,11 +298,11 @@ void ColumnarStore::refresh() {
   }
 
   // Phase 1 folds each dirty shard's new rows into its cells; phase 2
-  // folds the resulting per-region deltas into the country rollups. The
-  // join between them hands every KeyGroup from its shard worker to the
-  // one worker that owns its country. Shard sizes span orders of
-  // magnitude, so both phases hand out work largest first, weighted by
-  // the rows each unit's cells hold.
+  // re-selects the scalars of the country rollup cells those folds
+  // touched. The join between them hands every KeyGroup from its shard
+  // worker to the one worker that owns its country. Shard sizes span
+  // orders of magnitude, so both phases hand out work largest first,
+  // weighted by the rows each unit's cells hold.
   std::vector<std::uint64_t> weights(dirty.size());
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     weights[i] = groups_[dirty[i]].rtt_ms.size();
@@ -316,6 +330,15 @@ void ColumnarStore::refresh() {
         .record(std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count());
+    std::size_t bytes = 0;
+    for (const KeyGroup& group : groups_) {
+      bytes += group.probe_ids.capacity() * sizeof(std::uint32_t) +
+               group.region_index.capacity() * sizeof(std::uint16_t) +
+               group.ticks.capacity() * sizeof(std::uint32_t) +
+               group.rtt_ms.capacity() * sizeof(float) + group.run_bytes;
+    }
+    metrics_->gauge("serve.store.sample_bytes")
+        .set(static_cast<double>(bytes));
   }
 }
 
@@ -359,7 +382,7 @@ ColumnarStore::ScanSummary ColumnarStore::scan_region(
               static_cast<std::size_t>(access)];
   // Gather the cell's samples off the region-filtered column. Ingestion
   // order, like refresh_group's bucketing — the value multiset (and so
-  // every kernel result) matches the Ecdf summary exactly.
+  // every kernel result) matches the cell's summary exactly.
   std::vector<float> values;
   values.reserve(group.rtt_ms.size());
   for (std::size_t i = 0; i < group.rtt_ms.size(); ++i) {

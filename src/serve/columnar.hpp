@@ -6,9 +6,15 @@
 // instead ingests rows once into shards keyed by the two dimensions
 // every query filters on — (country, access technology) — and keeps
 // per-shard pre-aggregated summaries (min / median / p95 RTT per target
-// region, exact, via stats::Ecdf) plus per-country rollups across all
-// access technologies. A query then touches one shard's summary table
-// instead of millions of rows.
+// region, exact, over the cell's sorted float sample) plus per-country
+// rollups across all access technologies. A query then touches one
+// shard's summary table instead of millions of rows.
+//
+// Each stored RTT lives twice: in its shard's raw `rtt_ms` column and in
+// its cell's sorted run. A country rollup keeps scalars only — its
+// count and min pool the ≤ 7 access cells' own, and its median / p95
+// are exact order statistics selected across the cells' sorted runs
+// (kth_smallest_of_runs), never a merged copy.
 //
 // Ingestion contract:
 //   * append() is incremental — a running atlas::Campaign publishes its
@@ -23,12 +29,11 @@
 //   * Summaries are refreshed lazily and incrementally: each shard
 //     records how many of its rows its summaries cover, and refresh()
 //     folds in only the rows appended since (in parallel) — it sorts
-//     each region's new samples and merges them into the sorted cell,
-//     then merges the same deltas into the touched country rollup
-//     cells. Because a sorted sample is a pure function of its
-//     multiset, a store built from N+M rows at once and one built from
-//     N then appended M hold identical cells, scalars and snapshot
-//     bytes.
+//     each region's new samples and merges them into the cell's run,
+//     then re-selects the scalars of the touched country rollup cells.
+//     Because a sorted sample is a pure function of its multiset, a
+//     store built from N+M rows at once and one built from N then
+//     appended M hold identical cells, scalars and snapshot bytes.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +46,6 @@
 #include "geo/country.hpp"
 #include "net/access.hpp"
 #include "serve/scan.hpp"
-#include "stats/ecdf.hpp"
 #include "topology/registry.hpp"
 
 namespace shears::obs {
@@ -64,18 +68,30 @@ struct StoreConfig {
   std::uint64_t max_shard_rows = 0;
 };
 
-/// Pre-aggregated latency summary of one (shard, target region) cell.
-/// The full sorted sample rides along as an Ecdf, which is what makes
-/// cells exactly mergeable into country rollups (stats::Ecdf::merged).
+/// Pre-aggregated latency summary of one target region in a scope: a
+/// (shard, region) cell, or a country rollup of such cells.
 struct RegionStats {
   std::uint64_t count = 0;
   double min_ms = 0.0;
   double median_ms = 0.0;
   double p95_ms = 0.0;
-  stats::Ecdf ecdf;
+  /// A shard cell's full sample, ascending and sized exactly; the
+  /// scalars are its type-7 order statistics. Empty in country rollups,
+  /// which keep the scalars only.
+  std::vector<float> sorted;
 
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
 };
+
+/// Fills a cell's scalars from its (non-empty) sorted run.
+void summarise_cell(RegionStats& cell);
+
+/// Fills a rollup's scalars from the sorted runs of the cells it pools
+/// (some may be empty, not all): count and min from the runs' sizes and
+/// fronts, median and p95 by exact selection across the runs —
+/// bit-identical to the scalars of their merged sample.
+void summarise_rollup(RegionStats& rollup,
+                      std::span<const std::span<const float>> runs);
 
 /// Index of a country inside geo::all_countries(). Throws
 /// std::invalid_argument when the pointer is not into the registry table
@@ -137,8 +153,9 @@ class ColumnarStore final : public atlas::MeasurementSink {
   [[nodiscard]] std::span<const RegionStats> shard_stats(
       std::size_t country_index, net::AccessTechnology access) const;
 
-  /// Country rollup across all access technologies (exact merge of the
-  /// country's shard summaries). Requires fresh().
+  /// Country rollup across all access technologies: scalars only, exact
+  /// over the pooled samples of the country's shard cells. Requires
+  /// fresh().
   [[nodiscard]] std::span<const RegionStats> country_stats(
       std::size_t country_index) const;
 
@@ -158,7 +175,7 @@ class ColumnarStore final : public atlas::MeasurementSink {
 
   /// Result of a direct kernel scan of one (shard, region) cell — the
   /// scan-kernel face of RegionStats. count / min_ms / median_ms /
-  /// p95_ms are bit-identical to the Ecdf-based summary of the same
+  /// p95_ms are bit-identical to the RegionStats summary of the same
   /// cell; within_budget is the feasibility count (samples <=
   /// budget_ms).
   struct ScanSummary {
@@ -172,7 +189,7 @@ class ColumnarStore final : public atlas::MeasurementSink {
   };
 
   /// Scans one (country, access, region) cell straight off the raw RTT
-  /// column with the given kernel family — no sort, no Ecdf, no
+  /// column with the given kernel family — no sort, no sorted run, no
   /// refresh() required (raw columns are always current). The default
   /// overload uses active_scan_kernels() (AVX2 when available, scalar
   /// under SHEARS_FORCE_SCALAR); passing scalar_scan_kernels()
@@ -194,7 +211,11 @@ class ColumnarStore final : public atlas::MeasurementSink {
   /// shards, refreshed rows) and the serve.store.refresh_ms histogram.
   /// serve.store.refreshed_rows counts the rows each refresh() folded
   /// in, so on a store watched from empty it tracks rows_stored() once
-  /// fresh — refresh work is proportional to what was appended.
+  /// fresh — refresh work is proportional to what was appended. The
+  /// serve.store.sample_bytes gauge, set at the end of each refresh()
+  /// that folds rows in, is the capacity in bytes of the four columns
+  /// plus every cell's sorted run: 18 B a row when nothing keeps growth
+  /// slack.
   /// Observational only; nullptr detaches. `metrics` must outlive the
   /// store.
   void attach_metrics(obs::MetricsRegistry* metrics);
@@ -215,16 +236,12 @@ class ColumnarStore final : public atlas::MeasurementSink {
     /// Rows [0, summarised) are folded into `stats`; the shard is dirty
     /// while rows remain past it.
     std::size_t summarised = 0;
-    /// A region the last refresh_group() folded rows into, with its new
-    /// samples when the cell already held some. When the cell was empty,
-    /// `delta` stays empty and the cell itself is the delta.
-    struct Fold {
-      std::uint16_t region = 0;
-      stats::Ecdf delta;
-    };
-    /// Handed from refresh()'s shard phase to its country phase, which
-    /// merges the deltas into the rollup and clears the list.
-    std::vector<Fold> folded;
+    /// Capacity in bytes of the cells' sorted runs.
+    std::size_t run_bytes = 0;
+    /// Regions the last refresh_group() folded rows into, handed from
+    /// refresh()'s shard phase to its country phase, which re-selects
+    /// those rollup cells and clears the list.
+    std::vector<std::uint16_t> folded;
   };
 
   [[nodiscard]] std::size_t key_count() const noexcept {

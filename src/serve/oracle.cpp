@@ -118,24 +118,28 @@ const geo::Country* Oracle::resolve_country(const Query& q) const {
 }
 
 std::span<const RegionStats> Oracle::stats_in_scope(
-    const Query& q, const geo::Country* country,
+    std::size_t country_index, std::optional<net::AccessTechnology> access,
     const SummaryOverlay* overlay) const {
-  const std::size_t index = country_index_of(country);
   if (overlay != nullptr) {
-    const auto substituted = overlay->stats(
-        index, q.any_access ? std::nullopt
-                            : std::optional<net::AccessTechnology>(q.access));
+    const auto substituted = overlay->stats(country_index, access);
     if (substituted.has_value()) return *substituted;
   }
-  return q.any_access ? store_->country_stats(index)
-                      : store_->shard_stats(index, q.access);
+  return access.has_value() ? store_->shard_stats(country_index, *access)
+                            : store_->country_stats(country_index);
 }
 
 void Oracle::answer_into(const Query& query, Answer& out,
                          const SummaryOverlay* overlay) const {
   const geo::Country* country = resolve_country(query);
   std::span<const RegionStats> stats;
-  if (country != nullptr) stats = stats_in_scope(query, country, overlay);
+  if (country != nullptr) {
+    stats = stats_in_scope(
+        country_index_of(country),
+        query.any_access
+            ? std::nullopt
+            : std::optional<net::AccessTechnology>(query.access),
+        overlay);
+  }
   detail::answer_from_stats(query, country, stats, store_->registry(),
                             config_.feasibility, out);
 }
@@ -234,8 +238,10 @@ CoverageResult Oracle::weighted_coverage(std::span<const Query> queries,
   }
 
   // Per-query pooled counts, computed independently into a dense vector.
-  // Counts are integers (rank of budget_ms in each cell's sorted sample),
-  // so no arithmetic here can depend on evaluation order.
+  // Counts are integers (rank of budget_ms in each shard cell's sorted
+  // run), so no arithmetic here can depend on evaluation order. Rollups
+  // keep no samples: an all-access scope counts over the country's
+  // access cells, each taken from the overlay when it substitutes it.
   struct Counts {
     std::uint64_t covered = 0;
     std::uint64_t total = 0;
@@ -247,16 +253,20 @@ CoverageResult Oracle::weighted_coverage(std::span<const Query> queries,
   core::parallel_shards(queries.size(), shards,
                         [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const geo::Country* country = resolve_country(queries[i]);
+      const Query& q = queries[i];
+      const geo::Country* country = resolve_country(q);
       if (country == nullptr) continue;
-      for (const RegionStats& cell :
-           stats_in_scope(queries[i], country, overlay)) {
-        if (cell.empty()) continue;
-        const std::vector<double>& samples = cell.ecdf.sorted();
-        counts[i].total += samples.size();
-        counts[i].covered += static_cast<std::uint64_t>(
-            std::upper_bound(samples.begin(), samples.end(), budget_ms) -
-            samples.begin());
+      const std::size_t index = country_index_of(country);
+      for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
+        const auto access = static_cast<net::AccessTechnology>(a);
+        if (!q.any_access && access != q.access) continue;
+        for (const RegionStats& cell : stats_in_scope(index, access, overlay)) {
+          const std::vector<float>& run = cell.sorted;
+          counts[i].total += run.size();
+          counts[i].covered += static_cast<std::uint64_t>(
+              std::upper_bound(run.begin(), run.end(), budget_ms) -
+              run.begin());
+        }
       }
     }
   });

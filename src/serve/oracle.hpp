@@ -124,10 +124,13 @@ enum class BatchStatus : unsigned char { kOk, kStale };
 /// the scopes it changes, and the oracle answers from base summaries plus
 /// the overlay — the store is never rebuilt. Implementations (the
 /// optimizer's opt::OverlayEvaluator is the heaviest client) must return
-/// tables with the store's own shape — dense by region index — built from
-/// the same Ecdf machinery, so an overlay-answered batch is bit-exact to
-/// one answered over a store rebuilt with the delta applied (the `opt`
-/// differential suite pins this).
+/// tables with the store's own shape — dense by region index, shard
+/// cells carrying their sorted runs, rollups their scalars — built by
+/// the same summarise_cell / summarise_rollup, so an overlay-answered
+/// batch is bit-exact to one answered over a store rebuilt with the
+/// delta applied (the `opt` differential suite pins this). Coverage
+/// counts over shard cells only, so an overlay that substitutes a
+/// rollup must also substitute every shard cell whose samples changed.
 class SummaryOverlay {
  public:
   virtual ~SummaryOverlay() = default;
@@ -238,10 +241,11 @@ class Oracle {
   /// Country of the query, resolved via iso2 or the spatial index;
   /// nullptr when unresolvable.
   [[nodiscard]] const geo::Country* resolve_country(const Query& q) const;
-  /// Summary table for the query's scope: the overlay's substitution if
-  /// it has one, the base store's otherwise.
+  /// Summary table of one scope — a country's rollup (access ==
+  /// nullopt) or one of its shards: the overlay's substitution if it has
+  /// one, the base store's otherwise.
   [[nodiscard]] std::span<const RegionStats> stats_in_scope(
-      const Query& q, const geo::Country* country,
+      std::size_t country_index, std::optional<net::AccessTechnology> access,
       const SummaryOverlay* overlay) const;
   /// Shared staleness guard: refreshes via auto_refresh when possible,
   /// returns false when the batch must report kStale.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "stats/ecdf.hpp"
+
 namespace shears::serve {
 
 ReferenceOracle::ReferenceOracle(const atlas::MeasurementDataset* dataset,
@@ -42,12 +44,15 @@ std::vector<RegionStats> ReferenceOracle::scan_stats(
   for (std::size_t r = 0; r < regions; ++r) {
     if (samples[r].empty()) continue;
     std::sort(samples[r].begin(), samples[r].end());
+    // Deliberately not the store's float selection: the reference's
+    // scalars come from an Ecdf over the widened doubles, so the
+    // differential suites compare two independent derivations.
+    const stats::Ecdf ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
     RegionStats& cell = stats[r];
-    cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
-    cell.count = cell.ecdf.size();
-    cell.min_ms = cell.ecdf.min();
-    cell.median_ms = cell.ecdf.quantile(0.5);
-    cell.p95_ms = cell.ecdf.quantile(0.95);
+    cell.count = ecdf.size();
+    cell.min_ms = ecdf.min();
+    cell.median_ms = ecdf.quantile(0.5);
+    cell.p95_ms = ecdf.quantile(0.95);
   }
   return stats;
 }

@@ -1,7 +1,7 @@
 #include "serve/scan.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -70,22 +70,39 @@ float kth_smallest(const ScanKernels& kernels, const float* data,
 
 double quantile_type7(const ScanKernels& kernels, const float* data,
                       std::size_t n, double q) noexcept {
-  // Mirrors stats::Ecdf::quantile over the sorted doubles of this
-  // sample: selection replaces sorting, the interpolation arithmetic is
-  // identical (float -> double widening is exact).
-  if (q <= 0.0) return static_cast<double>(kth_smallest(kernels, data, n, 0));
-  if (q >= 1.0) {
-    return static_cast<double>(kth_smallest(kernels, data, n, n - 1));
+  return type7_quantile(n, q, [&](std::size_t k) {
+    return kth_smallest(kernels, data, n, k);
+  });
+}
+
+float kth_smallest_of_runs(std::span<const std::span<const float>> runs,
+                           std::size_t k) noexcept {
+  // Same bit-space bisection as kth_smallest, bracketed by the union's
+  // extremes: the smallest bit pattern whose upper_bound counts summed
+  // over the runs reach rank k + 1 is the k-th smallest element.
+  std::uint32_t lo = 0xFFFFFFFFu;
+  std::uint32_t hi = 0;
+  for (const std::span<const float> run : runs) {
+    if (run.empty()) continue;
+    lo = std::min(lo, std::bit_cast<std::uint32_t>(run.front()));
+    hi = std::max(hi, std::bit_cast<std::uint32_t>(run.back()));
   }
-  const double h = q * static_cast<double>(n - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const std::size_t hi = lo + 1 < n ? lo + 1 : lo;
-  const double frac = h - std::floor(h);
-  const auto vlo = static_cast<double>(kth_smallest(kernels, data, n, lo));
-  const auto vhi = hi == lo
-                       ? vlo
-                       : static_cast<double>(kth_smallest(kernels, data, n, hi));
-  return vlo + frac * (vhi - vlo);
+  const std::size_t rank = k + 1;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    const float x = std::bit_cast<float>(mid);
+    std::size_t at_or_below = 0;
+    for (const std::span<const float> run : runs) {
+      at_or_below += static_cast<std::size_t>(
+          std::upper_bound(run.begin(), run.end(), x) - run.begin());
+    }
+    if (at_or_below >= rank) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return std::bit_cast<float>(lo);
 }
 
 }  // namespace shears::serve

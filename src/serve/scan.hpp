@@ -14,7 +14,11 @@
 //                  search on the float bit space: for non-negative IEEE
 //                  floats, bit-pattern order equals numeric order, so 31
 //                  count_le passes pin the k-th smallest *element*
-//                  without reassociating anything.
+//                  without reassociating anything;
+//   * kth_smallest_of_runs — the same bisection over the union of
+//                  several sorted runs, counting with upper_bound per
+//                  run: how a country rollup finds its quantiles across
+//                  its shard cells without a merged copy.
 //
 // Everything here is exact — no polynomial math, no reordered sums — so
 // the kernels are gated by byte-identity against the Ecdf-based
@@ -29,7 +33,9 @@
 // scalar job exercises. The scalar kernels are always built and tested.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <span>
 
 namespace shears::serve {
 
@@ -57,12 +63,37 @@ struct ScanKernels {
                                  const float* data, std::size_t n,
                                  std::size_t k) noexcept;
 
-/// Type-7 (numpy-default) quantile of n > 0 non-negative finite floats,
-/// interpolated in double like stats::Ecdf::quantile — bit-identical to
-/// Ecdf over the same sample.
+/// Type-7 (numpy-default) quantile of a sample of n > 0 values whose
+/// k-th smallest (0-based) `kth(k)` returns. The one copy of the
+/// interpolation: in double, exactly as stats::Ecdf::quantile does it,
+/// so any float sample gives the bits Ecdf gives over its widened
+/// copy (float -> double widening is exact).
+template <class Kth>
+[[nodiscard]] double type7_quantile(std::size_t n, double q, Kth&& kth) {
+  if (q <= 0.0) return static_cast<double>(kth(std::size_t{0}));
+  if (q >= 1.0) return static_cast<double>(kth(n - 1));
+  const double h = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const std::size_t hi = lo + 1 < n ? lo + 1 : lo;
+  const double frac = h - std::floor(h);
+  const auto vlo = static_cast<double>(kth(lo));
+  const auto vhi = hi == lo ? vlo : static_cast<double>(kth(hi));
+  return vlo + frac * (vhi - vlo);
+}
+
+/// Type-7 quantile of n > 0 non-negative finite floats by selection —
+/// bit-identical to Ecdf over the same sample.
 [[nodiscard]] double quantile_type7(const ScanKernels& kernels,
                                     const float* data, std::size_t n,
                                     double q) noexcept;
+
+/// Exact k-th smallest (0-based) of the union of sorted (ascending)
+/// runs of non-negative finite floats; runs may be empty, the union
+/// must hold more than k values. Bisects the float bit space between
+/// the smallest front and the largest back, counting each probe with
+/// one upper_bound per run — no merged copy is made.
+[[nodiscard]] float kth_smallest_of_runs(
+    std::span<const std::span<const float>> runs, std::size_t k) noexcept;
 
 namespace detail {
 /// The AVX2 family, or nullptr when the TU was built without -mavx2

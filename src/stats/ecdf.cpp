@@ -20,26 +20,6 @@ Ecdf Ecdf::from_sorted(std::vector<double> sorted) {
   return ecdf;
 }
 
-Ecdf Ecdf::merged(std::span<const Ecdf* const> parts) {
-  std::size_t total = 0;
-  for (const Ecdf* part : parts) {
-    if (part != nullptr) total += part->size();
-  }
-  std::vector<double> out;
-  out.reserve(total);
-  for (const Ecdf* part : parts) {
-    if (part == nullptr || part->empty()) continue;
-    const std::size_t mid = out.size();
-    out.insert(out.end(), part->sorted().begin(), part->sorted().end());
-    std::inplace_merge(out.begin(),
-                       out.begin() + static_cast<std::ptrdiff_t>(mid),
-                       out.end());
-  }
-  Ecdf ecdf;
-  ecdf.sorted_ = std::move(out);
-  return ecdf;
-}
-
 double Ecdf::fraction_at_or_below(double x) const noexcept {
   if (sorted_.empty()) return 0.0;
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);

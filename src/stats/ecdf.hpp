@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,18 +19,10 @@ class Ecdf {
   /// Builds from an arbitrary (unsorted) sample. NaNs must not be present.
   explicit Ecdf(std::vector<double> sample);
 
-  /// Builds from an already-sorted sample without re-sorting — the merge
-  /// paths below and the serving layer's shard refresh produce sorted
-  /// data by construction. Throws std::invalid_argument when the input is
-  /// not nondecreasing (every query assumes it).
+  /// Builds from an already-sorted sample without re-sorting. Throws
+  /// std::invalid_argument when the input is not nondecreasing (every
+  /// query assumes it).
   [[nodiscard]] static Ecdf from_sorted(std::vector<double> sorted);
-
-  /// Exact merge: the ECDF of the union multiset of `parts` (null entries
-  /// skipped). Because the full sample is retained, shard summaries merge
-  /// without approximation — unlike streaming sketches, the merged
-  /// quantiles equal those of an ECDF built over the concatenated raw
-  /// samples in one shot, whatever the shard split was.
-  [[nodiscard]] static Ecdf merged(std::span<const Ecdf* const> parts);
 
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }

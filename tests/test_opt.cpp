@@ -78,8 +78,7 @@ void expect_stats_identical(std::span<const serve::RegionStats> a,
     EXPECT_EQ(a[r].min_ms, b[r].min_ms) << what << " region " << r;
     EXPECT_EQ(a[r].median_ms, b[r].median_ms) << what << " region " << r;
     EXPECT_EQ(a[r].p95_ms, b[r].p95_ms) << what << " region " << r;
-    EXPECT_EQ(a[r].ecdf.sorted(), b[r].ecdf.sorted())
-        << what << " region " << r;
+    EXPECT_EQ(a[r].sorted, b[r].sorted) << what << " region " << r;
   }
 }
 
@@ -348,7 +347,7 @@ TEST(OracleOverlay, WeightedCoverageFoldsPopulationWeights) {
   ASSERT_EQ(result.queries, queries.size());
   ASSERT_EQ(result.answered, queries.size());
 
-  // Reproduce the fold by hand from the rollup summaries.
+  // Reproduce the fold by hand from the country's shard cells.
   double covered_weight = 0.0;
   double answered_weight = 0.0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -356,10 +355,12 @@ TEST(OracleOverlay, WeightedCoverageFoldsPopulationWeights) {
         geo::find_country(queries[i].country_iso2));
     std::uint64_t covered = 0;
     std::uint64_t total = 0;
-    for (const serve::RegionStats& cell : fixture().store.country_stats(ci)) {
-      if (cell.empty()) continue;
-      total += cell.count;
-      for (double v : cell.ecdf.sorted()) covered += v <= budget ? 1 : 0;
+    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
+      for (const serve::RegionStats& cell : fixture().store.shard_stats(
+               ci, static_cast<net::AccessTechnology>(a))) {
+        total += cell.count;
+        for (float v : cell.sorted) covered += v <= budget ? 1 : 0;
+      }
     }
     ASSERT_GT(total, 0u);
     answered_weight += weights[i];

@@ -364,16 +364,25 @@ TEST(CachedSampling, NeutralOverloadMatchesNeutralPerturbation) {
 }
 
 TEST(HoistedBurstMath, CachedProfileCombinesLossesAsIndependentEvents) {
+  // Every probe of the fleet under several core loss rates: on a single
+  // probe, p + c - p*c and its reorderings can round alike.
   const auto fleet = small_fleet();
-  const net::LatencyModel model;
-  const net::Endpoint& src = fleet.probe(3).endpoint;
-  const net::AccessProfile access = model.access_profile_of(src);
-  const net::CachedProfile cached = model.cache_profile(src);
-  const double p = access.loss_rate;
-  const double c = model.config().core_loss_rate;
-  EXPECT_EQ(cached.combined_loss, p + c - p * c);
-  EXPECT_EQ(cached.log_spread, stats::lognormal_sigma_of_spread(access.spread));
-  EXPECT_EQ(cached.profile.median_ms, access.median_ms);
+  for (const double core_loss : {0.0, 0.001, 0.003, 0.0137, 0.05, 0.2}) {
+    net::LatencyModelConfig config;
+    config.core_loss_rate = core_loss;
+    const net::LatencyModel model(config);
+    for (const atlas::Probe& probe : fleet.probes()) {
+      const net::AccessProfile access = model.access_profile_of(probe.endpoint);
+      const net::CachedProfile cached = model.cache_profile(probe.endpoint);
+      const double p = access.loss_rate;
+      const double c = model.config().core_loss_rate;
+      ASSERT_EQ(cached.combined_loss, p + c - p * c)
+          << "probe " << probe.id << " core_loss_rate " << c;
+      ASSERT_EQ(cached.log_spread,
+                stats::lognormal_sigma_of_spread(access.spread));
+      ASSERT_EQ(cached.profile.median_ms, access.median_ms);
+    }
+  }
 }
 
 TEST(HoistedBurstMath, CachedPathPrecomputesExcessMedian) {

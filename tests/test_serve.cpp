@@ -248,7 +248,7 @@ TEST(ColumnarStore, UnresolvableRowThrows) {
 }
 
 /// Bit-level equality of two summary tables: the four scalars and every
-/// sample of every cell's sorted Ecdf.
+/// sample of every cell's sorted run.
 void expect_same_cells(std::span<const RegionStats> a,
                        std::span<const RegionStats> b) {
   ASSERT_EQ(a.size(), b.size());
@@ -260,12 +260,12 @@ void expect_same_cells(std::span<const RegionStats> a,
               std::bit_cast<std::uint64_t>(b[r].median_ms));
     ASSERT_EQ(std::bit_cast<std::uint64_t>(a[r].p95_ms),
               std::bit_cast<std::uint64_t>(b[r].p95_ms));
-    const std::vector<double>& sa = a[r].ecdf.sorted();
-    const std::vector<double>& sb = b[r].ecdf.sorted();
+    const std::vector<float>& sa = a[r].sorted;
+    const std::vector<float>& sb = b[r].sorted;
     ASSERT_EQ(sa.size(), sb.size());
     for (std::size_t i = 0; i < sa.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
-                std::bit_cast<std::uint64_t>(sb[i]))
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(sa[i]),
+                std::bit_cast<std::uint32_t>(sb[i]))
           << "cell " << r << " sample " << i;
     }
   }
@@ -454,6 +454,27 @@ TEST(ColumnarStore, ManySmallRefreshesMatchOneShotBuild) {
 
     expect_same_store(one_shot, store);
     EXPECT_EQ(snapshot_image(store), one_shot_image);
+  }
+}
+
+TEST(ColumnarStore, SampleBytesGaugeIsEighteenBytesARow) {
+  const CampaignWorld world;
+  const atlas::MeasurementDataset dataset = world.run();
+  ColumnarStore store(&dataset.fleet(), &dataset.registry(), StoreConfig{2});
+  obs::MetricsRegistry metrics;
+  store.attach_metrics(&metrics);
+  store.append(dataset.records());
+  store.refresh();
+  ASSERT_TRUE(store.fresh());
+  ASSERT_GT(store.rows_stored(), 0u);
+  // 14 B of columns (probe id, region index, tick, RTT) plus the 4 B
+  // float in the cell's sorted run, and no growth slack anywhere.
+  EXPECT_EQ(metrics.gauge("serve.store.sample_bytes").value(),
+            static_cast<double>(store.rows_stored() * (14 + 4)));
+  for (std::size_t c = 0; c < geo::country_count(); ++c) {
+    for (const RegionStats& cell : store.country_stats(c)) {
+      EXPECT_TRUE(cell.sorted.empty()) << "rollups keep scalars only";
+    }
   }
 }
 

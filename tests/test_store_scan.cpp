@@ -1,8 +1,8 @@
 // Byte-identity gates for the vectorized store scan kernels: every
 // kernel family (scalar reference, AVX2 when the build/CPU carry it)
-// must reproduce the Ecdf-based RegionStats summaries bit for bit, and
-// the order-statistic primitives must agree exactly with their textbook
-// counterparts on random columns.
+// must reproduce the RegionStats summaries bit for bit, and the
+// order-statistic primitives (single column and across sorted runs)
+// must agree exactly with their textbook counterparts on random data.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "net/latency_model.hpp"
 #include "serve/columnar.hpp"
 #include "serve/scan.hpp"
+#include "stats/ecdf.hpp"
 #include "stats/rng.hpp"
 #include "topology/registry.hpp"
 
@@ -154,6 +155,54 @@ TEST(StoreScan, QuantileType7MatchesEcdfBitwise) {
                      ecdf.quantile(q), kernels->name);
     }
   }
+}
+
+/// 1–7 sorted runs drawn from a tiny value pool (heavy ties within and
+/// across runs, zeros included), each run empty, single or up to 40
+/// values long.
+std::vector<std::vector<float>> random_runs(stats::Xoshiro256& rng) {
+  static constexpr float kPool[] = {0.0f, 0.2f, 0.2f, 1.5f, 7.25f,
+                                    7.25f, 19.0f, 180.5f};
+  std::vector<std::vector<float>> runs(1 + rng.bounded(7));
+  for (std::vector<float>& run : runs) {
+    const std::uint64_t shape = rng.bounded(4);
+    const std::size_t n = shape == 0 ? 0 : shape == 1 ? 1 : rng.bounded(41);
+    for (std::size_t i = 0; i < n; ++i) {
+      run.push_back(kPool[rng.bounded(std::size(kPool))]);
+    }
+    std::sort(run.begin(), run.end());
+  }
+  return runs;
+}
+
+TEST(StoreScan, KthSmallestOfRunsMatchesSortedConcatenation) {
+  stats::Xoshiro256 rng(2027);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::vector<std::vector<float>> runs = random_runs(rng);
+    std::vector<std::span<const float>> views(runs.begin(), runs.end());
+    std::vector<float> all;
+    for (const std::vector<float>& run : runs) {
+      all.insert(all.end(), run.begin(), run.end());
+    }
+    std::sort(all.begin(), all.end());
+    if (all.empty()) continue;
+    for (std::size_t k = 0; k < all.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(kth_smallest_of_runs(views, k)),
+                std::bit_cast<std::uint32_t>(all[k]))
+          << "trial " << trial << " rank " << k << " of " << all.size();
+    }
+    // The rollup scalars equal an Ecdf's over the widened concatenation.
+    RegionStats rollup;
+    summarise_rollup(rollup, views);
+    const stats::Ecdf ecdf(std::vector<double>(all.begin(), all.end()));
+    ASSERT_EQ(rollup.count, all.size()) << "trial " << trial;
+    expect_bitwise(rollup.min_ms, ecdf.min(), "min");
+    expect_bitwise(rollup.median_ms, ecdf.quantile(0.5), "median");
+    expect_bitwise(rollup.p95_ms, ecdf.quantile(0.95), "p95");
+    ++checked;
+  }
+  EXPECT_GT(checked, 1500u);
 }
 
 TEST(StoreScan, ForceScalarEnvPinsDispatch) {
