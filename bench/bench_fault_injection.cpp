@@ -36,7 +36,7 @@ void BM_CampaignNoSchedule(benchmark::State& state) {
 BENCHMARK(BM_CampaignNoSchedule)->Unit(benchmark::kMillisecond);
 
 void BM_CampaignEmptySchedule(benchmark::State& state) {
-  // Faults wired in but no fault active anywhere: the fast path.
+  // Faults wired in but no fault active anywhere: the clean lane engine.
   const auto fleet = atlas::ProbeFleet::generate({});
   const auto registry = topology::CloudRegistry::campaign_footprint();
   const net::LatencyModel model;

@@ -2,7 +2,9 @@
 // plus the observability gate: a full-fleet campaign timed with and
 // without an attached MetricsRegistry, asserting the two datasets are
 // byte-identical and recording both wall clocks in the bench JSON (see
-// bench_common.hpp).
+// bench_common.hpp). Campaign::run() times the production lane engine;
+// the *Reference rows time the scalar reference engine on the same
+// config, so the ratio between the two stays visible.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "atlas/campaign.hpp"
 #include "atlas/placement.hpp"
 #include "bench_common.hpp"
+#include "check/reference.hpp"
 #include "net/latency_model.hpp"
 #include "obs/metrics.hpp"
 #include "topology/registry.hpp"
@@ -62,6 +65,25 @@ void BM_CampaignDay(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignDay)->Unit(benchmark::kMillisecond);
 
+void BM_CampaignDayReference(benchmark::State& state) {
+  // BM_CampaignDay on the scalar reference engine.
+  const auto fleet = atlas::ProbeFleet::generate({});
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  atlas::CampaignConfig config;
+  config.duration_days = 1;
+  config.threads = 1;
+  const atlas::Campaign campaign(fleet, registry, model, config);
+  for (auto _ : state) {
+    atlas::CampaignTelemetry telemetry;
+    auto dataset = check::reference_campaign(campaign, telemetry);
+    benchmark::DoNotOptimize(dataset);
+    state.SetItemsProcessed(state.items_processed() +
+                            static_cast<std::int64_t>(dataset.size()));
+  }
+}
+BENCHMARK(BM_CampaignDayReference)->Unit(benchmark::kMillisecond);
+
 void BM_CampaignDayParallel(benchmark::State& state) {
   const auto fleet = atlas::ProbeFleet::generate({});
   const auto registry = topology::CloudRegistry::campaign_footprint();
@@ -90,7 +112,9 @@ BENCHMARK(BM_CampaignDayParallel)->Unit(benchmark::kMillisecond);
 /// smoke test raises it to 50 because a 2-day run is noise-dominated).
 /// Records campaign_cached (the plain run, the campaign throughput row),
 /// campaign_instrumented, campaign_telemetry_overhead_pct and
-/// campaign_telemetry_identical.
+/// campaign_telemetry_identical; then times the scalar reference engine
+/// on the same config (minimum over as many runs) as campaign_reference,
+/// and records campaign_lane_speedup, reference over plain wall clock.
 int run_telemetry_overhead() {
   using clock = std::chrono::steady_clock;
   int days = 30;
@@ -163,6 +187,15 @@ int run_telemetry_overhead() {
     plain_s = std::min(plain_s, p);
     instrumented_s = std::min(instrumented_s, i);
   }
+  double reference_s = 1e300;
+  for (int r = 0; r < repeats; ++r) {
+    const auto start = clock::now();
+    atlas::CampaignTelemetry telemetry;
+    const auto ds = check::reference_campaign(plain, telemetry);
+    reference_s = std::min(
+        reference_s,
+        std::chrono::duration<double>(clock::now() - start).count());
+  }
   const double overhead_pct =
       plain_s > 0.0 ? (instrumented_s / plain_s - 1.0) * 100.0 : 0.0;
   const bool within_gate = overhead_pct <= gate_pct;
@@ -173,15 +206,20 @@ int run_telemetry_overhead() {
   bench::bench_record_value("campaign_telemetry_overhead_pct", overhead_pct);
   bench::bench_record_value("campaign_telemetry_identical",
                             identical ? 1.0 : 0.0);
+  bench::bench_record("campaign_reference", reference_s, items);
+  bench::bench_record_value("campaign_lane_speedup",
+                            plain_s > 0.0 ? reference_s / plain_s : 0.0);
 
   std::printf(
       "\ntelemetry overhead (%d days, %zu measurements, 1 thread, %d pairs)\n"
       "  plain:        %.3f s\n"
       "  instrumented: %.3f s\n"
-      "  overhead:     %.2f%% (gate %.1f%%: %s)   datasets %s\n",
+      "  overhead:     %.2f%% (gate %.1f%%: %s)   datasets %s\n"
+      "  reference:    %.3f s (scalar engine, %.2fx the plain run)\n",
       days, measurements, repeats, plain_s, instrumented_s, overhead_pct,
       gate_pct, within_gate ? "ok" : "EXCEEDED",
-      identical ? "byte-identical" : "DIVERGED");
+      identical ? "byte-identical" : "DIVERGED", reference_s,
+      plain_s > 0.0 ? reference_s / plain_s : 0.0);
   return identical && within_gate ? 0 : 1;
 }
 

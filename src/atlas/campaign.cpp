@@ -131,17 +131,13 @@ std::size_t Campaign::expected_record_count() const {
 }
 
 bool Campaign::batched_eligible() const noexcept {
-  return config_.batched && config_.retry.max_retries == 0 &&
-         !config_.quarantine.enabled &&
+  return config_.retry.max_retries == 0 && !config_.quarantine.enabled &&
          config_.packets_per_ping <= net::kMaxBatchedPackets;
 }
 
 std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
                                       Measurement* out,
                                       CampaignTelemetry& telemetry) const {
-  if (batched_eligible()) {
-    return run_probe_range_batched(begin, end, out, telemetry);
-  }
   Measurement* const first = out;
   stats::Xoshiro256 root(config_.seed);
   const std::uint32_t ticks = tick_count();
@@ -197,53 +193,6 @@ std::size_t Campaign::run_probe_range(std::size_t begin, std::size_t end,
       slot_base += per_tick;
       if (slot_base >= targets.size()) slot_base -= targets.size();
     };
-
-    if (!has_faults && !has_retry && !has_quarantine &&
-        config_.probe_uptime >= 1.0) {
-      // Fault-free fast path — the perf-critical configuration (the
-      // paper's campaigns inject no faults). Skipping the exposure /
-      // perturbation / retry plumbing is exact: a neutral Perturbation and
-      // a unit load multiplier are arithmetic identities (x * 1.0 == x,
-      // p + 0.0 - p * 0.0 == p), so this loop is byte-identical to the
-      // generic one below — test_sampling_cache holds both to the same
-      // golden checksums.
-      const net::CachedPath* paths = cache_.paths(probe.id);
-      const net::LatencyModel& model = *model_;
-      const net::LatencyModelConfig& model_config = model.config();
-      const std::uint16_t* target_ptr = targets.data();
-      const std::size_t target_count = targets.size();
-      const int packets = config_.packets_per_ping;
-      std::uint32_t phase = 0;
-      for (std::uint32_t tick = 0; tick < ticks; ++tick, advance_rotation()) {
-        const double temporal_load = congestion.step(model_config, rng);
-        const double tick_load = diurnal_by_phase[phase] * temporal_load;
-        if (++phase == diurnal_period) phase = 0;
-        for (std::size_t j = 0; j < per_tick; ++j) {
-          std::size_t slot = slot_base + j;
-          if (slot >= target_count) slot -= target_count;
-          const std::uint16_t region_index = target_ptr[slot];
-          const net::PingResult ping =
-              model.ping_cached(paths[region_index], cached_profile, packets,
-                                tick_load, rng);
-          Measurement m;
-          m.probe_id = probe.id;
-          m.region_index = region_index;
-          m.tick = tick;
-          m.sent = static_cast<std::uint8_t>(ping.sent);
-          m.received = static_cast<std::uint8_t>(ping.received);
-          if (ping.received > 0) {
-            m.min_ms = static_cast<float>(ping.min_ms);
-            m.avg_ms = static_cast<float>(ping.avg_ms);
-            m.max_ms = static_cast<float>(ping.max_ms);
-          }
-          *out++ = m;
-        }
-      }
-      const std::size_t produced = static_cast<std::size_t>(ticks) * per_tick;
-      telemetry.bursts += produced;  // no skipped ticks here
-      telemetry.bursts_cached += produced;
-      continue;
-    }
 
     for (std::uint32_t tick = 0; tick < ticks; ++tick, advance_rotation()) {
       const double temporal_load = congestion.step(model_->config(), rng);
@@ -360,6 +309,11 @@ MeasurementDataset Campaign::run() const {
 }
 
 MeasurementDataset Campaign::run(CampaignTelemetry& telemetry) const {
+  return run_engine(telemetry, batched_eligible());
+}
+
+MeasurementDataset Campaign::run_engine(CampaignTelemetry& telemetry,
+                                        bool lanes) const {
   const auto run_start = std::chrono::steady_clock::now();
   // Resolve the shard histogram once, outside the workers; a null pointer
   // turns every Span into a no-op, so the unobserved campaign pays one
@@ -374,31 +328,37 @@ MeasurementDataset Campaign::run(CampaignTelemetry& telemetry) const {
   threads = static_cast<unsigned>(
       std::min<std::size_t>(threads, n > 0 ? n : 1));
 
-  // One dataset buffer, cut into one slice per shard sized by its probes'
-  // capacities; shard t runs probes [shard_begin(t), shard_begin(t + 1)).
-  // Records leaves the buffer unfilled, so each worker first-touches its
-  // own slice and the pages fault in parallel.
+  // One dataset buffer with room for every probe's capacity: probe pi's
+  // rows fit in [row_begin[pi], row_begin[pi + 1]), and shard t runs
+  // probes [shard_begin(t), shard_begin(t + 1)) into the slice from
+  // row_begin[shard_begin(t)]. Records leaves the buffer unfilled, so
+  // each worker first-touches its own slice and the pages fault in
+  // parallel. Everything a worker writes besides the rows — the lane
+  // engine's per-probe row counts, the shard's count and telemetry — is
+  // sized here, so workers allocate nothing.
   const std::size_t chunk = (n + threads - 1) / threads;
   const auto shard_begin = [n, chunk](unsigned t) {
     return std::min(n, t * chunk);
   };
   const auto probes = fleet_->probes();
-  std::vector<std::size_t> slice_begin(threads + 1, 0);
-  for (unsigned t = 0; t < threads; ++t) {
-    std::size_t capacity = 0;
-    for (std::size_t pi = shard_begin(t); pi < shard_begin(t + 1); ++pi) {
-      capacity += probe_capacity(probes[pi]);
-    }
-    slice_begin[t + 1] = slice_begin[t] + capacity;
+  std::vector<std::size_t> row_begin(n + 1, 0);
+  for (std::size_t pi = 0; pi < n; ++pi) {
+    row_begin[pi + 1] = row_begin[pi] + probe_capacity(probes[pi]);
   }
-  Records records(slice_begin[threads]);
+  std::vector<std::size_t> probe_rows(lanes ? n : 0, 0);
+  Records records(row_begin[n]);
   std::vector<std::size_t> written(threads, 0);
   std::vector<CampaignTelemetry> shard_telemetry(threads);
   const auto run_shard = [&](unsigned t) {
     obs::Span span(shard_hist);
-    written[t] = run_probe_range(shard_begin(t), shard_begin(t + 1),
-                                 records.data() + slice_begin[t],
-                                 shard_telemetry[t]);
+    const std::size_t begin = shard_begin(t);
+    const std::size_t end = shard_begin(t + 1);
+    written[t] =
+        lanes ? run_probe_range_batched(begin, end, records.data(),
+                                        row_begin.data(), probe_rows.data(),
+                                        shard_telemetry[t])
+              : run_probe_range(begin, end, records.data() + row_begin[begin],
+                                shard_telemetry[t]);
   };
   if (threads == 1) {
     run_shard(0);
@@ -416,9 +376,9 @@ MeasurementDataset Campaign::run(CampaignTelemetry& telemetry) const {
   telemetry = CampaignTelemetry{};
   std::size_t rows = 0;
   for (unsigned t = 0; t < threads; ++t) {
-    if (rows != slice_begin[t]) {
-      std::copy_n(records.data() + slice_begin[t], written[t],
-                  records.data() + rows);
+    const std::size_t slice = row_begin[shard_begin(t)];
+    if (rows != slice) {
+      std::copy_n(records.data() + slice, written[t], records.data() + rows);
     }
     rows += written[t];
     telemetry.merge(shard_telemetry[t]);
@@ -445,7 +405,7 @@ void Campaign::publish_metrics(
   m.counter("campaign.path_cache_hits").add(telemetry.bursts_cached);
   if (telemetry.bursts_batched != 0) {
     // Conditional like the fault rows below: scalar-engine snapshots
-    // stay free of batched-kernel counters.
+    // stay free of lane-engine counters.
     m.counter("campaign.bursts_batched").add(telemetry.bursts_batched);
   }
   m.counter("campaign.hang_ticks").add(telemetry.hang_ticks);

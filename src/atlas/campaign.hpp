@@ -14,9 +14,20 @@
 // skew and blackouts; fully-lost bursts can be retried with capped
 // exponential backoff; probes whose recent bursts are mostly bad enter
 // quarantine until a cooldown elapses. All resilience features default
-// to off, and a campaign without them is byte-identical to the
-// pre-fault engine. Determinism holds per (seed, fault schedule) and is
+// to off. Determinism holds per (seed, fault schedule) and is
 // independent of the thread count.
+//
+// Two samplers sit behind run(), chosen by the config alone:
+//   * the lane engine (campaign_batched.cpp, net/burst_lanes.hpp)
+//     samples up to 8 probes together through the SIMD burst kernel. It
+//     runs every config it covers: clean, churned and fault-scheduled
+//     campaigns with up to net::kMaxBatchedPackets packets per burst;
+//   * the scalar engine (campaign.cpp) samples one burst at a time
+//     through LatencyModel::ping_cached. It runs configs with retries or
+//     quarantine, which the lane engine does not cover, and it is the
+//     exact reference for every config: check::reference_campaign runs
+//     it whatever the config says.
+// The two agree in distribution, not byte for byte (DESIGN.md §6).
 #pragma once
 
 #include <chrono>
@@ -57,21 +68,11 @@ struct CampaignConfig {
   /// Worker threads; 0 = hardware concurrency. Results are identical
   /// regardless of thread count.
   unsigned threads = 0;
-  /// Sample through the lane-batched SIMD kernel (net/burst_lanes.hpp):
-  /// up to 8 probes advance together, with the transcendental math
-  /// evaluated as vectorized array ops. Draw-for-draw aligned with the
-  /// scalar engine — every record's structure (losses, counts, fault
-  /// masks) is identical — but RTT values go through polynomial exp/log
-  /// and drift within a bounded epsilon, so batched datasets are gated
-  /// by the scalar-vs-batched differential suite (src/check), not the
-  /// golden byte-identity checksums. Off by default. Configurations the
-  /// kernel does not cover (retries, quarantine, packets_per_ping >
-  /// net::kMaxBatchedPackets) silently fall back to the scalar engine —
-  /// see batched_eligible().
-  bool batched = false;
-  /// Retry policy for fully-lost bursts; off by default.
+  /// Retry policy for fully-lost bursts; off by default. Enabling it
+  /// moves the campaign onto the scalar engine.
   faults::RetryPolicy retry{};
-  /// Probe quarantine policy; off by default.
+  /// Probe quarantine policy; off by default. Enabling it moves the
+  /// campaign onto the scalar engine.
   faults::QuarantinePolicy quarantine{};
 
   /// Throws std::invalid_argument on non-positive knobs, probe_uptime
@@ -91,7 +92,7 @@ struct CampaignTelemetry {
   std::size_t bursts_recovered = 0; ///< lost at first attempt, then delivered
   std::size_t bursts_faulted = 0;   ///< records with fault exposure flags
   std::size_t bursts_cached = 0;    ///< attempts served by the path cache
-  std::size_t bursts_batched = 0;   ///< bursts sampled by the lane kernel
+  std::size_t bursts_batched = 0;   ///< bursts sampled by the lane engine
   std::size_t hang_ticks = 0;       ///< probe-ticks lost to firmware hangs
   std::size_t quarantine_entries = 0;
   std::size_t quarantined_ticks = 0;  ///< probe-ticks sidelined
@@ -111,6 +112,18 @@ class MeasurementSink {
   virtual ~MeasurementSink() = default;
   virtual void publish(std::span<const Measurement> rows) = 0;
 };
+
+class Campaign;
+
+}  // namespace shears::atlas
+
+namespace shears::check {
+// The scalar reference engine's entry (check/reference.hpp).
+atlas::MeasurementDataset reference_campaign(
+    const atlas::Campaign& campaign, atlas::CampaignTelemetry& telemetry);
+}  // namespace shears::check
+
+namespace shears::atlas {
 
 class Campaign {
  public:
@@ -136,7 +149,8 @@ class Campaign {
   [[nodiscard]] std::span<const std::uint16_t> targets_for(
       const Probe& p) const noexcept;
 
-  /// Runs the whole campaign deterministically and returns the dataset.
+  /// Runs the whole campaign deterministically and returns the dataset:
+  /// on the lane engine when batched_eligible(), else on the scalar one.
   [[nodiscard]] MeasurementDataset run() const;
 
   /// As run(), also filling the resilience telemetry counters.
@@ -146,10 +160,10 @@ class Campaign {
   /// upper bound under churn, hangs, or quarantine.
   [[nodiscard]] std::size_t expected_record_count() const;
 
-  /// Whether run() will use the lane-batched kernel: config.batched is
-  /// set and the configuration is one the kernel covers (no retries, no
-  /// quarantine, burst size within net::kMaxBatchedPackets). Churn and fault schedules *are* covered —
-  /// the SoA fault path keeps perturbed windows on the kernel.
+  /// Whether run() samples with the lane engine: the config has no
+  /// retries, no quarantine, and bursts within net::kMaxBatchedPackets.
+  /// Churn and fault schedules *are* covered — the SoA fault path keeps
+  /// perturbed windows on the kernel.
   [[nodiscard]] bool batched_eligible() const noexcept;
 
   /// Publishes per-run telemetry into `metrics` after every run():
@@ -177,21 +191,35 @@ class Campaign {
   /// min(targets_per_tick, |targets|); an upper bound otherwise.
   [[nodiscard]] std::size_t probe_capacity(const Probe& p) const noexcept;
 
-  /// Samples probes [begin, end) into `out`, probe-major, and returns the
-  /// number of rows written; `out` must hold the range's summed
-  /// probe_capacity.
+  friend MeasurementDataset check::reference_campaign(
+      const atlas::Campaign& campaign, atlas::CampaignTelemetry& telemetry);
+
+  /// run() on a chosen engine: `lanes` picks the lane engine, which the
+  /// caller guarantees batched_eligible() covers; otherwise the scalar
+  /// engine runs.
+  MeasurementDataset run_engine(CampaignTelemetry& telemetry,
+                                bool lanes) const;
+
+  /// Scalar engine: samples probes [begin, end) into `out`, probe-major,
+  /// and returns the number of rows written; `out` must hold the range's
+  /// summed probe_capacity.
   std::size_t run_probe_range(std::size_t begin, std::size_t end,
                               Measurement* out,
                               CampaignTelemetry& telemetry) const;
 
-  /// Lane-batched twin of run_probe_range (campaign_batched.cpp): groups
-  /// the range's probes into 8-lane blocks per continent and samples
-  /// them through net::sample_burst_lanes. Per-probe output is
-  /// independent of block composition (each lane consumes only its own
-  /// stream), so sharding and thread count still do not change the
-  /// dataset.
+  /// Lane engine (campaign_batched.cpp): groups probes [begin, end) into
+  /// 8-lane blocks per continent and samples them through the burst
+  /// kernel. Probe pi writes from records[row_begin[pi]] on and counts
+  /// its rows in probe_rows[pi] (zero on entry); the rows are then
+  /// closed up, probe-major, from records[row_begin[begin]], and their
+  /// number returned. Both arrays are sized by the calling thread, so
+  /// the workers allocate nothing. Per-probe output is independent of
+  /// block composition (each lane consumes only its own stream), so
+  /// sharding and thread count do not change the dataset.
   std::size_t run_probe_range_batched(std::size_t begin, std::size_t end,
-                                      Measurement* out,
+                                      Measurement* records,
+                                      const std::size_t* row_begin,
+                                      std::size_t* probe_rows,
                                       CampaignTelemetry& telemetry) const;
 
   /// Pushes one run's telemetry into metrics_; no-op when detached.

@@ -1,4 +1,5 @@
-// Lane-batched campaign engine: run_probe_range_batched.
+// The lane engine: run_probe_range_batched, the sampler Campaign::run()
+// uses for every config without retries or quarantine.
 //
 // Groups a shard's probes into 8-lane blocks (per continent, so every
 // lane in a block shares the target list and per-tick burst count) and
@@ -25,13 +26,16 @@
 // returns a lost burst before drawing anything.
 //
 // Output order matches the scalar engine (probe-major, ticks ascending):
-// each lane writes into its probe's own slot range of the shard's slice,
+// each lane writes into its probe's own row range of the dataset buffer,
 // sized by probe_capacity, and ranges a probe left short (churn, hangs)
 // are closed up in probe order at the end.
+//
+// Workers allocate nothing: the row ranges and per-probe counts come
+// from run(), blocks are gathered by scanning the shard once per
+// continent, and every per-block array is fixed-size.
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <vector>
 
 #include "atlas/campaign.hpp"
 #include "net/burst_lanes.hpp"
@@ -51,7 +55,8 @@ net::PingResult lost_burst_batched(int packets) noexcept {
 }  // namespace
 
 std::size_t Campaign::run_probe_range_batched(
-    std::size_t begin, std::size_t end, Measurement* out,
+    std::size_t begin, std::size_t end, Measurement* records,
+    const std::size_t* row_begin, std::size_t* probe_rows,
     CampaignTelemetry& telemetry) const {
   using net::kBurstLanes;
   // run()'s ceiling-division chunking hands trailing shards an empty
@@ -72,45 +77,31 @@ std::size_t Campaign::run_probe_range_batched(
   const auto diurnal_period = static_cast<std::uint32_t>(
       24 / std::gcd(config_.interval_hours, 24));
 
-  // Probe pi's rows go to out[slot[pi - begin] ...], probe-major like
-  // the scalar engine; written[] counts what each probe produced.
-  std::vector<std::size_t> slot(end - begin + 1, 0);
-  for (std::size_t pi = begin; pi < end; ++pi) {
-    slot[pi - begin + 1] = slot[pi - begin] + probe_capacity(probes[pi]);
-  }
-  std::vector<std::size_t> written(end - begin, 0);
-
-  // Bucket the shard's probes by continent: lanes blocked within one
-  // bucket share the target span and per-tick burst count.
-  std::array<std::vector<std::size_t>, geo::kContinentCount> buckets;
-  for (std::size_t pi = begin; pi < end; ++pi) {
-    const std::size_t ci = geo::index_of(probes[pi].country->continent);
-    if (targets_by_continent_[ci].empty()) continue;  // same skip as scalar
-    buckets[ci].push_back(pi);
-  }
-
+  // Lanes blocked within one continent share the target span and
+  // per-tick burst count; each continent's probes are taken in probe
+  // order, up to kBurstLanes at a time.
   for (std::size_t ci = 0; ci < geo::kContinentCount; ++ci) {
-    const auto& bucket = buckets[ci];
     const auto& targets = targets_by_continent_[ci];
-    if (bucket.empty()) continue;
+    if (targets.empty()) continue;  // same skip as scalar
     const std::size_t per_tick = std::min(
         static_cast<std::size_t>(config_.targets_per_tick), targets.size());
 
-    for (std::size_t b0 = 0; b0 < bucket.size(); b0 += kBurstLanes) {
-      const std::size_t block_n =
-          std::min(kBurstLanes, bucket.size() - b0);
-
+    std::size_t cursor = begin;
+    while (true) {
       // --- Per-lane (per-probe) setup, scalar order within each lane:
       // fork, rotation draw, congestion stationary draw.
       std::array<const Probe*, kBurstLanes> probe{};
       std::array<std::uint64_t, kBurstLanes> ids{};
-      std::array<std::size_t, kBurstLanes> lane_probe{};  ///< pi - begin
-      for (std::size_t l = 0; l < block_n; ++l) {
-        const std::size_t pi = bucket[b0 + l];
-        probe[l] = &probes[pi];
-        ids[l] = probe[l]->id;
-        lane_probe[l] = pi - begin;
+      std::array<std::size_t, kBurstLanes> lane_probe{};  ///< pi
+      std::size_t block_n = 0;
+      for (; cursor < end && block_n < kBurstLanes; ++cursor) {
+        if (geo::index_of(probes[cursor].country->continent) != ci) continue;
+        probe[block_n] = &probes[cursor];
+        ids[block_n] = probes[cursor].id;
+        lane_probe[block_n] = cursor;
+        ++block_n;
       }
+      if (block_n == 0) break;
       stats::XoshiroLanes rng = stats::XoshiroLanes::striped(
           root, std::span<const std::uint64_t>(ids.data(), block_n));
 
@@ -118,10 +109,9 @@ std::size_t Campaign::run_probe_range_batched(
       for (std::size_t l = 0; l < block_n; ++l) {
         slot_base[l] = rng.lane(l).bounded(targets.size());
       }
-      std::vector<net::CongestionState> congestion;
-      congestion.reserve(block_n);
+      std::array<net::CongestionState, kBurstLanes> congestion;
       for (std::size_t l = 0; l < block_n; ++l) {
-        congestion.emplace_back(model_config, rng.lane(l));
+        congestion[l] = net::CongestionState(model_config, rng.lane(l));
       }
 
       std::array<faults::ProbeContext, kBurstLanes> fault_ctx{};
@@ -226,8 +216,8 @@ std::size_t Campaign::run_probe_range_batched(
               m.max_ms = static_cast<float>(ping.max_ms);
             }
             m.faults = mask[l];
-            const std::size_t k = lane_probe[l];
-            out[slot[k] + written[k]++] = m;
+            const std::size_t pi = lane_probe[l];
+            records[row_begin[pi] + probe_rows[pi]++] = m;
             ++telemetry.bursts;
             if (mask[l] != 0) {
               ++telemetry.bursts_faulted;
@@ -247,12 +237,17 @@ std::size_t Campaign::run_probe_range_batched(
     }
   }
 
-  std::size_t rows = 0;
-  for (std::size_t k = 0; k < written.size(); ++k) {
-    if (rows != slot[k]) std::copy_n(out + slot[k], written[k], out + rows);
-    rows += written[k];
+  // Close up the ranges probes left short, in probe order, from the
+  // start of the shard's slice.
+  const std::size_t first = row_begin[begin];
+  std::size_t rows = first;
+  for (std::size_t pi = begin; pi < end; ++pi) {
+    if (rows != row_begin[pi]) {
+      std::copy_n(records + row_begin[pi], probe_rows[pi], records + rows);
+    }
+    rows += probe_rows[pi];
   }
-  return rows;
+  return rows - first;
 }
 
 }  // namespace shears::atlas

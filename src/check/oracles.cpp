@@ -13,6 +13,7 @@
 #include "atlas/campaign.hpp"
 #include "atlas/path_cache.hpp"
 #include "check/property.hpp"
+#include "check/reference.hpp"
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
 #include "geo/continent.hpp"
@@ -52,7 +53,7 @@ bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-/// A burst's fault perturbation: neutral (the fast loop's case),
+/// A burst's fault perturbation: neutral (a fault-free burst),
 /// faulted, or a clock skew negative enough to hit the zero clamp.
 net::Perturbation draw_perturbation(Gen& gen) {
   switch (gen.below(3)) {
@@ -96,15 +97,9 @@ void check_cached_vs_recomputing(Gen& gen, const World& world) {
       // at 1.
       const double load = gen.chance(0.2) ? 1.0 : gen.real_in(0.2, 12.0);
       const net::Perturbation perturbation = draw_perturbation(gen);
-      // The neutral overload is the fault-free fast loop's kernel; it
-      // draws the same stream, so either overload may stand in here.
-      const bool neutral_overload = perturbation.neutral() && gen.chance(0.5);
       const net::PingResult got =
-          neutral_overload
-              ? model.ping_cached(cache.path(probe.id, r), profile, packets,
-                                  load, cached_rng)
-              : model.ping_cached(cache.path(probe.id, r), profile, packets,
-                                  load, perturbation, cached_rng);
+          model.ping_cached(cache.path(probe.id, r), profile, packets, load,
+                            perturbation, cached_rng);
       const net::PingResult want = net::detail::aggregate_burst(packets, [&] {
         return model.ping_once(src, *regions[r], reference_rng, load,
                                perturbation);
@@ -119,7 +114,6 @@ void check_cached_vs_recomputing(Gen& gen, const World& world) {
             << r << " load " << load << " perturbation {"
             << perturbation.latency_scale << ", " << perturbation.offset_ms
             << ", " << perturbation.extra_loss << "}"
-            << (neutral_overload ? " (neutral overload)" : "")
             << ": cached " << got.received << " received, min/avg/max "
             << got.min_ms << "/" << got.avg_ms << "/" << got.max_ms
             << "; recomputed " << want.received << " received, min/avg/max "
@@ -224,21 +218,24 @@ void check_batched_vs_scalar(const World& world) {
     config.packets_per_ping = net::kMaxBatchedPackets;
   }
   config.threads = 1;
-  config.batched = false;
-  const atlas::MeasurementDataset scalar = world.run_with(config);
-
-  config.batched = true;
   const atlas::Campaign engine(world.fleet, world.registry, world.model,
                                config,
                                world.faulted() ? &world.schedule : nullptr);
   if (!engine.batched_eligible()) {
     fail(world, "batched vs scalar: normalised config not kernel-eligible");
   }
+  atlas::CampaignTelemetry scalar_telemetry;
+  const atlas::MeasurementDataset scalar =
+      reference_campaign(engine, scalar_telemetry);
   atlas::CampaignTelemetry telemetry;
   const atlas::MeasurementDataset batched = engine.run(telemetry);
   if (telemetry.bursts > 0 && telemetry.bursts_batched == 0) {
     fail(world, "batched vs scalar: kernel produced records but "
                 "bursts_batched stayed 0 (fell back to the scalar path)");
+  }
+  if (scalar_telemetry.bursts_batched != 0) {
+    fail(world, "batched vs scalar: the reference engine sampled bursts "
+                "on the lane kernel");
   }
 
   // Record structure is draw-free at uptime 1 and must match exactly:

@@ -22,11 +22,12 @@ void check_cached_vs_recomputing(Gen& gen, const World& world);
 /// Campaign determinism across worker counts: 1 thread vs 8 threads.
 void check_campaign_thread_invariance(const World& world);
 
-/// Scalar vs lane-batched campaign engine — the *epsilon-mode*
-/// differential oracle of the SIMD kernels (DESIGN.md §6). On the same
-/// world (faulted or clean, after switching off the resilience knobs the
-/// kernel does not cover and pinning uptime to 1) the batched engine
-/// must reproduce every record's structure exactly — probe/region/tick,
+/// Scalar reference (reference_campaign) vs the lane engine that
+/// Campaign::run() picks — the *epsilon-mode* differential oracle of the
+/// SIMD kernels (DESIGN.md §6). On the same world (faulted or clean,
+/// after switching off the resilience knobs the kernel does not cover
+/// and pinning uptime to 1) the lane engine must reproduce every
+/// record's structure exactly — probe/region/tick,
 /// sent, retries, fault masks — while the sampled values (received,
 /// RTTs) are held to *distributional* agreement: the kernel consumes
 /// each stream on a fixed kind-major schedule with Box–Muller normals,

@@ -66,6 +66,10 @@ struct LatencyModelConfig {
 /// one step per scheduler tick.
 class CongestionState {
  public:
+  /// A neutral placeholder (c = 0) for fixed-size arrays of states; the
+  /// campaign assigns every slot it uses from the constructor below.
+  CongestionState() noexcept = default;
+
   /// Draws the stationary distribution so campaigns start in steady
   /// state.
   CongestionState(const LatencyModelConfig& config, stats::Xoshiro256& rng);
@@ -95,10 +99,6 @@ struct Perturbation {
   double offset_ms = 0.0;
   /// Extra independent per-packet loss probability.
   double extra_loss = 0.0;
-
-  [[nodiscard]] bool neutral() const noexcept {
-    return latency_scale == 1.0 && offset_ms == 0.0 && extra_loss == 0.0;
-  }
 };
 
 /// RNG-free precomputed state for one (endpoint, region) pair. A campaign
@@ -208,16 +208,6 @@ class LatencyModel {
                                        const Perturbation& perturbation,
                                        stats::Xoshiro256& rng) const noexcept;
 
-  /// Fault-free overload: bit-identical to passing a neutral Perturbation
-  /// (the skipped operations — scale by 1.0, offset by 0.0, composing a
-  /// zero extra loss — are exact IEEE identities for the non-negative
-  /// values involved), minus their cost. The campaign's fault-free hot
-  /// loop runs on this.
-  [[nodiscard]] PingResult ping_cached(const CachedPath& path,
-                                       const CachedProfile& profile,
-                                       int packets, double load_factor,
-                                       stats::Xoshiro256& rng) const noexcept;
-
  private:
   LatencyModelConfig config_{};
   /// ln(excess_spread), hoisted out of per-burst sampling (the config is
@@ -290,49 +280,6 @@ inline PingObservation sample_ping(const LatencyModelConfig& config,
   return {false, rtt};
 }
 
-inline BurstState make_burst_state_neutral(const CachedPath& path,
-                                           const CachedProfile& cached_profile,
-                                           double load_factor,
-                                           double excess_sigma) noexcept {
-  // Neutral-perturbation specialisation. extra_loss == 0 makes the loss
-  // composition `cl + 0 - cl*0 == cl` exact (cl >= 0, never -0.0);
-  // latency_scale / offset_ms keep their identity defaults and the
-  // matching kernel below skips them.
-  BurstState s;
-  s.median_ms = cached_profile.profile.median_ms * load_factor;
-  s.bloat_probability =
-      std::min(cached_profile.profile.bloat_probability * load_factor, 1.0);
-  s.bloat_scale_ms = cached_profile.profile.bloat_scale_ms;
-  s.log_spread = cached_profile.log_spread;
-  s.loss = cached_profile.combined_loss;
-  s.base_rtt_ms = path.base_rtt_ms;
-  s.excess_median_ms = path.excess_median_ms;
-  s.excess_sigma = excess_sigma;
-  return s;
-}
-
-/// sample_ping with the neutral-perturbation operations elided. Each skip
-/// is an exact IEEE identity — `rtt * 1.0 == rtt`, and with offset 0 the
-/// final clamp reduces to `max(0, rtt) == rtt` because rtt is a sum of a
-/// positive base and non-negative terms — so the observation stream is
-/// bit-identical to sample_ping with a default Perturbation.
-inline PingObservation sample_ping_neutral(const LatencyModelConfig& config,
-                                           const BurstState& s,
-                                           stats::Xoshiro256& rng) noexcept {
-  if (rng.bernoulli(s.loss)) return {true, 0.0};
-  double rtt = s.base_rtt_ms;
-  if (config.excess_fraction > 0.0) {
-    rtt += stats::sample_lognormal_presigma(rng, s.excess_median_ms,
-                                            s.excess_sigma);
-  }
-  rtt += sample_access_latency_raw(s.median_ms, s.log_spread,
-                                   s.bloat_probability, s.bloat_scale_ms, rng);
-  if (rng.bernoulli(config.spike_probability)) {
-    rtt += stats::sample_pareto(rng, config.spike_min_ms, config.spike_alpha);
-  }
-  return {false, rtt};
-}
-
 template <typename Sampler>
 PingResult aggregate_burst(int packets, Sampler&& sample) noexcept {
   PingResult result;
@@ -364,16 +311,6 @@ inline PingResult LatencyModel::ping_cached(
       path, profile, load_factor, perturbation, excess_sigma_);
   return detail::aggregate_burst(
       packets, [&] { return detail::sample_ping(config_, state, rng); });
-}
-
-inline PingResult LatencyModel::ping_cached(
-    const CachedPath& path, const CachedProfile& profile, int packets,
-    double load_factor, stats::Xoshiro256& rng) const noexcept {
-  const detail::BurstState state = detail::make_burst_state_neutral(
-      path, profile, load_factor, excess_sigma_);
-  return detail::aggregate_burst(packets, [&] {
-    return detail::sample_ping_neutral(config_, state, rng);
-  });
 }
 
 }  // namespace shears::net

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+
+#include "stats/isa.hpp"
 
 namespace shears::serve {
 
@@ -28,20 +29,14 @@ std::size_t scalar_count_le(const float* data, std::size_t n,
 
 constexpr ScanKernels kScalarKernels{"scalar", scalar_min, scalar_count_le};
 
-[[nodiscard]] bool force_scalar_env() noexcept {
-  const char* v = std::getenv("SHEARS_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 }  // namespace
 
 const ScanKernels& scalar_scan_kernels() noexcept { return kScalarKernels; }
 
 const ScanKernels& active_scan_kernels() noexcept {
   static const ScanKernels& chosen = []() -> const ScanKernels& {
-    if (force_scalar_env()) return kScalarKernels;
     const ScanKernels* avx2 = detail::avx2_scan_kernels();
-    if (avx2 != nullptr && __builtin_cpu_supports("avx2")) return *avx2;
+    if (avx2 != nullptr && stats::avx2_allowed()) return *avx2;
     return kScalarKernels;
   }();
   return chosen;

@@ -1,70 +1,22 @@
-// Lockstep generation for XoshiroLanes (see lanes.hpp).
-//
-// The Xoshiro256** recurrence defeats GCC 12's loop vectorizer (the
-// cross-round state dependence reads as an "unsupported use"), so the
-// hot loop uses GNU vector extensions instead of relying on
-// autovectorization: 4x64-bit integer vectors, two per state word for
-// the eight lanes. These are portable GNU C (GCC/Clang), not ISA
-// intrinsics — under -mavx2 (cmake/ShearsKernels.cmake) they lower to
-// single AVX2 ops, and in the SHEARS_DISABLE_SIMD build to baseline
-// SSE2/scalar code. Either way the math is exact unsigned 64-bit
-// arithmetic — shifts, xors, rotates and multiplies by 5/9 — so the
-// outputs and final states are bit-identical to calling
-// lanes_[l].next() `rounds` times on every build.
+// XoshiroLanes' state transpose (see lanes.hpp). Compiled with the
+// baseline ISA, so the kernels of every ISA can call it.
 #include "stats/lanes.hpp"
 
 namespace shears::stats {
-namespace {
 
-typedef std::uint64_t V4 __attribute__((vector_size(32)));
+XoshiroLanes::StateWords XoshiroLanes::state_words() const noexcept {
+  StateWords words;
+  for (std::size_t w = 0; w < 4; ++w)
+    for (std::size_t l = 0; l < kLanes; ++l) words[w][l] = lanes_[l].state_[w];
+  return words;
+}
 
-constexpr std::size_t kVecWidth = 4;
-constexpr std::size_t kVecs = XoshiroLanes::kLanes / kVecWidth;
-static_assert(XoshiroLanes::kLanes % kVecWidth == 0);
-
-}  // namespace
-
-void XoshiroLanes::fill_u64_lockstep(
-    std::uint64_t* out, std::size_t rounds,
-    const std::array<bool, kLanes>& advance) noexcept {
-  // SoA transpose of the lane states: word w of every lane contiguous,
-  // split into kVecs vector registers.
-  V4 s0[kVecs], s1[kVecs], s2[kVecs], s3[kVecs];
-  for (std::size_t h = 0; h < kVecs; ++h)
-    for (std::size_t j = 0; j < kVecWidth; ++j) {
-      const std::size_t l = h * kVecWidth + j;
-      s0[h][j] = lanes_[l].state_[0];
-      s1[h][j] = lanes_[l].state_[1];
-      s2[h][j] = lanes_[l].state_[2];
-      s3[h][j] = lanes_[l].state_[3];
-    }
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::uint64_t* row = out + r * kLanes;
-    for (std::size_t h = 0; h < kVecs; ++h) {
-      // Exactly Xoshiro256::next(), vector-form.
-      const V4 x = s1[h] * 5;
-      const V4 result = ((x << 7) | (x >> 57)) * 9;
-      __builtin_memcpy(row + h * kVecWidth, &result, sizeof(V4));
-      const V4 t = s1[h] << 17;
-      s2[h] ^= s0[h];
-      s3[h] ^= s1[h];
-      s1[h] ^= s2[h];
-      s0[h] ^= s3[h];
-      s2[h] ^= t;
-      s3[h] = (s3[h] << 45) | (s3[h] >> 19);
-    }
+void XoshiroLanes::store_state_words(
+    const StateWords& words, const std::array<bool, kLanes>& advance) noexcept {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (!advance[l]) continue;
+    for (std::size_t w = 0; w < 4; ++w) lanes_[l].state_[w] = words[w][l];
   }
-
-  for (std::size_t h = 0; h < kVecs; ++h)
-    for (std::size_t j = 0; j < kVecWidth; ++j) {
-      const std::size_t l = h * kVecWidth + j;
-      if (!advance[l]) continue;
-      lanes_[l].state_[0] = s0[h][j];
-      lanes_[l].state_[1] = s1[h][j];
-      lanes_[l].state_[2] = s2[h][j];
-      lanes_[l].state_[3] = s3[h][j];
-    }
 }
 
 }  // namespace shears::stats

@@ -7,8 +7,9 @@
 // that fork by hand. The batched kernel consumes each lane's stream on a
 // *fixed schedule* (a constant number of draws per packet, see
 // net/burst_lanes.hpp) instead of the scalar engine's data-dependent
-// draw pattern; that is what lets fill_u64_lockstep generate the whole
-// draw grid as branch-free 8-wide array code. The two engines therefore
+// draw pattern; that is what lets the lockstep generator
+// (stats/lanes_kernel.hpp) fill the whole draw grid as branch-free
+// 8-wide array code. The two engines therefore
 // agree in distribution, not draw for draw — the differential suite
 // (src/check) holds them to bounded quantile drift.
 #pragma once
@@ -52,22 +53,15 @@ class XoshiroLanes {
     return lanes_[l];
   }
 
-  /// Lockstep uniform draw: one next_double() per lane, for stages where
-  /// every lane consumes exactly one draw.
-  void next_double_all(double out[kLanes]) noexcept {
-    for (std::size_t l = 0; l < kLanes; ++l) out[l] = lanes_[l].next_double();
-  }
+  /// The lane states transposed: words[w][l] is state word w of lane l,
+  /// the structure-of-arrays form the lockstep generator
+  /// (stats/lanes_kernel.hpp) advances.
+  using StateWords = std::array<std::array<std::uint64_t, kLanes>, 4>;
+  [[nodiscard]] StateWords state_words() const noexcept;
 
-  /// Advances every lane `rounds` steps in lockstep and writes the raw
-  /// 64-bit outputs striped as out[r * kLanes + l] — row r holds draw r
-  /// of all eight streams. The grid is generated from an SoA transpose
-  /// of the lane states with plain array ops (compiled as a SIMD kernel
-  /// TU, see stats/lanes.cpp), so the eight streams advance in four
-  /// integer vector lanes instead of eight serial dependency chains.
-  /// Lanes with advance[l] == false still contribute rows (their slots
-  /// carry valid but unused draws) yet have their state restored, so a
-  /// masked-out lane's stream position is untouched by the call.
-  void fill_u64_lockstep(std::uint64_t* out, std::size_t rounds,
+  /// Writes `words` back into every lane with advance[l] set; the other
+  /// lanes keep their state.
+  void store_state_words(const StateWords& words,
                          const std::array<bool, kLanes>& advance) noexcept;
 
  private:

@@ -18,6 +18,13 @@
 //     DESIGN.md §6), not by byte identity, so polynomial degrees are
 //     chosen for throughput inside that budget.
 //
+// Linkage: everything below sits in an anonymous namespace, so each
+// kernel TU that includes this header gets its own private copy compiled
+// with that TU's instruction set (net/burst_lanes.cpp generic,
+// net/burst_lanes_avx2.cpp AVX2). Plain `inline` functions would be
+// merged by the linker, and the generic kernel could end up calling an
+// AVX2 body on a CPU without AVX2.
+//
 // Domain notes: callers feed exp with |x| <= a few hundred (sigma·z and
 // tail exponents) and log with x > 0; inputs outside clamp to the
 // nearest boundary instead of producing inf/NaN, which keeps the masked
@@ -30,6 +37,7 @@
 #include <cstdint>
 
 namespace shears::stats::vec {
+namespace {
 
 inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
 inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
@@ -166,4 +174,5 @@ inline void vsqrt(const double* x, double* out, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
 }
 
+}  // namespace
 }  // namespace shears::stats::vec

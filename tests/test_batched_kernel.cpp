@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -23,6 +24,7 @@
 #include "net/burst_lanes.hpp"
 #include "net/latency_model.hpp"
 #include "stats/lanes.hpp"
+#include "stats/lanes_kernel.hpp"
 #include "stats/rng.hpp"
 #include "topology/registry.hpp"
 
@@ -55,8 +57,8 @@ TEST(XoshiroLanes, StripedLanesMatchScalarForks) {
 }
 
 TEST(XoshiroLanes, LockstepFillMatchesScalarStreams) {
-  // fill_u64_lockstep must replay every lane's scalar stream bit for
-  // bit, and only advance the lanes the mask says advanced.
+  // lockstep_fill must replay every lane's scalar stream bit for bit,
+  // and only advance the lanes the mask says advanced.
   stats::Xoshiro256 root(91);
   std::array<std::uint64_t, stats::XoshiroLanes::kLanes> ids{};
   for (std::size_t l = 0; l < ids.size(); ++l) ids[l] = 40 + 3 * l;
@@ -68,7 +70,7 @@ TEST(XoshiroLanes, LockstepFillMatchesScalarStreams) {
   for (std::size_t l = 0; l < advance.size(); ++l) advance[l] = (l % 3 != 2);
 
   std::vector<std::uint64_t> grid(kRounds * stats::XoshiroLanes::kLanes);
-  lanes.fill_u64_lockstep(grid.data(), kRounds, advance);
+  stats::lockstep_fill(lanes, grid.data(), kRounds, advance);
 
   for (std::size_t l = 0; l < stats::XoshiroLanes::kLanes; ++l) {
     stats::Xoshiro256 scalar = root.fork(ids[l]);
@@ -213,6 +215,63 @@ TEST(BurstLanes, KernelMatchesScalarDistribution) {
   EXPECT_NEAR(b99, s99, 0.10 * s99 + 1.0);
 }
 
+TEST(BurstLanes, Avx2AndGenericBuildsAreBitIdentical) {
+  // DESIGN.md §6: the AVX2 and generic kernel builds give the same bits.
+  // Drive both through a spread of burst states, packet counts and lane
+  // masks from the same streams, and fold every output and every final
+  // stream position into one checksum per build.
+  const net::BurstKernel* avx2 = net::detail::avx2_burst_kernel();
+  if (avx2 == nullptr || !__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "no AVX2 kernel build on this binary or CPU";
+  }
+  const net::LatencyModelConfig config;
+  const auto checksum = [&](const net::BurstKernel& kernel) {
+    std::array<std::uint64_t, net::kBurstLanes> ids{};
+    for (std::size_t l = 0; l < net::kBurstLanes; ++l) ids[l] = 500 + l;
+    stats::Xoshiro256 root(29);
+    stats::XoshiroLanes rng = stats::XoshiroLanes::striped(
+        root, std::span<const std::uint64_t>(ids.data(), ids.size()));
+    stats::Xoshiro256 shape(31);  // drives the burst states, not sampled
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+      h ^= v;
+      h *= 0x100000001b3ULL;
+    };
+    std::array<net::PingResult, net::kBurstLanes> out;
+    for (int block = 0; block < 20000; ++block) {
+      net::BurstStateLanes lanes;
+      for (std::size_t l = 0; l < net::kBurstLanes; ++l) {
+        if (shape.next_double() < 0.15) continue;  // inactive lane
+        net::detail::BurstState s = test_burst_state();
+        s.loss = shape.uniform(0.0, 0.6);
+        s.base_rtt_ms = shape.uniform(0.5, 300.0);
+        s.excess_median_ms = shape.uniform(0.0, 40.0);
+        s.latency_scale = shape.uniform(1.0, 3.0);
+        s.offset_ms = shape.uniform(-60.0, 30.0);
+        s.median_ms = shape.uniform(0.0, 60.0);
+        s.bloat_probability = shape.uniform(0.0, 1.0);
+        s.log_spread = shape.uniform(0.0, 1.2);
+        lanes.set_lane(l, s);
+      }
+      const int packets =
+          1 + static_cast<int>(shape.bounded(net::kMaxBatchedPackets));
+      kernel.sample(config, lanes, 0.6, packets, rng, out);
+      for (const net::PingResult& r : out) {
+        mix(static_cast<std::uint64_t>(r.sent));
+        mix(static_cast<std::uint64_t>(r.received));
+        mix(std::bit_cast<std::uint64_t>(r.min_ms));
+        mix(std::bit_cast<std::uint64_t>(r.avg_ms));
+        mix(std::bit_cast<std::uint64_t>(r.max_ms));
+      }
+    }
+    for (std::size_t l = 0; l < net::kBurstLanes; ++l) mix(rng.lane(l).next());
+    return h;
+  };
+  EXPECT_EQ(checksum(net::generic_burst_kernel()), checksum(*avx2));
+  EXPECT_STREQ(net::generic_burst_kernel().name, "generic");
+  EXPECT_STREQ(avx2->name, "avx2");
+}
+
 TEST(BatchedCampaign, FaultedWindowStaysOnBatchedPath) {
   // Regression pin for the SoA fault path: a campaign-wide congestion
   // storm perturbs every burst, and every one of them must still be
@@ -238,7 +297,6 @@ TEST(BatchedCampaign, FaultedWindowStaysOnBatchedPath) {
   config.duration_days = 2;
   config.seed = 13;
   config.threads = 1;
-  config.batched = true;
   const atlas::Campaign campaign(fleet, registry, model, config, &schedule);
   ASSERT_TRUE(campaign.batched_eligible());
 
@@ -267,7 +325,6 @@ TEST(BatchedCampaign, IneligibleConfigFallsBackSilently) {
   config.duration_days = 1;
   config.seed = 3;
   config.threads = 1;
-  config.batched = true;
   config.retry.max_retries = 1;  // retries are outside the kernel's scope
   const atlas::Campaign campaign(fleet, registry, model, config);
   EXPECT_FALSE(campaign.batched_eligible());

@@ -17,6 +17,7 @@
 
 #include "atlas/campaign.hpp"
 #include "atlas/placement.hpp"
+#include "check/reference.hpp"
 #include "core/access_comparison.hpp"
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
@@ -191,6 +192,10 @@ std::uint64_t dataset_checksum(const atlas::MeasurementDataset& ds) {
 /// keep reproducing it bit for bit.
 constexpr std::uint64_t kGoldenSmallDefault = 0xc651f46c9bbf3d01ULL;
 
+/// The same campaign's golden on the lane engine Campaign::run() uses
+/// (see test_sampling_cache.cpp).
+constexpr std::uint64_t kLaneGoldenSmallDefault = 0x4d965d6a0c1c29c9ULL;
+
 atlas::ProbeFleet small_fleet() {
   atlas::PlacementConfig pc;
   pc.probe_count = 256;
@@ -215,8 +220,13 @@ TEST(CampaignObservability, AttachedRegistryDoesNotPerturbTheDataset) {
   obs::MetricsRegistry metrics;
   campaign.attach_metrics(&metrics);
   const auto dataset = campaign.run();
-  EXPECT_EQ(dataset_checksum(dataset), kGoldenSmallDefault);
+  EXPECT_EQ(dataset_checksum(dataset), kLaneGoldenSmallDefault);
   EXPECT_FALSE(metrics.snapshot().empty());
+  // The scalar reference publishes through the same hook, and keeps its
+  // pre-cache bytes with the registry attached.
+  atlas::CampaignTelemetry telemetry;
+  EXPECT_EQ(dataset_checksum(check::reference_campaign(campaign, telemetry)),
+            kGoldenSmallDefault);
 }
 
 TEST(CampaignObservability, CountersMatchCampaignGroundTruth) {
@@ -233,8 +243,8 @@ TEST(CampaignObservability, CountersMatchCampaignGroundTruth) {
 
   EXPECT_EQ(snap.counter("campaign.bursts"), telemetry.bursts);
   EXPECT_EQ(snap.counter("campaign.bursts"), dataset.size());
-  // The default config runs the cached fast path: every burst is a cache
-  // hit, and the resilience counters stay zero.
+  // The default config runs the lane engine: every burst is sampled from
+  // the path cache, and the resilience counters stay zero.
   EXPECT_EQ(snap.counter("campaign.path_cache_hits"), dataset.size());
   EXPECT_EQ(snap.counter("campaign.retries"), 0u);
   EXPECT_EQ(snap.counter("campaign.bursts_faulted"), 0u);

@@ -1,8 +1,12 @@
 // The sampling-cache determinism contract (DESIGN.md, "Sampling cache"):
 //
 //   * golden FNV-1a checksums captured from the PRE-cache engine pin the
-//     exact bytes of the campaign, so any silent divergence (a reordered
-//     draw, a folded constant, an unsafe compiler flag) fails loudly;
+//     exact bytes of the scalar reference engine (check/reference.hpp),
+//     so any silent divergence (a reordered draw, a folded constant, an
+//     unsafe compiler flag) fails loudly;
+//   * lane-engine goldens pin the bytes Campaign::run() produces, at
+//     every thread count and under both kernel builds (ctest runs this
+//     binary a second time with SHEARS_FORCE_SCALAR=1);
 //   * a cached burst is bit-equal to a burst of the recomputing
 //     LatencyModel::ping_once, faulted or not;
 //   * results are invariant across campaign thread counts;
@@ -19,6 +23,7 @@
 #include "atlas/campaign.hpp"
 #include "atlas/path_cache.hpp"
 #include "atlas/placement.hpp"
+#include "check/reference.hpp"
 #include "config/scenario.hpp"
 #include "net/latency_model.hpp"
 #include "stats/distributions.hpp"
@@ -64,6 +69,20 @@ constexpr std::uint64_t kGoldenPaper9Months = 0x46d3f0dd8d6cfb2bULL;
 constexpr std::uint64_t kGoldenFaulted9Months = 0x50b5875f3010277eULL;
 constexpr std::uint64_t kGoldenStressNoisy = 0x4e326ef751afea68ULL;
 
+// Golden checksums of the lane engine Campaign::run() samples with,
+// captured when it became the production engine. Identical under the
+// AVX2 and generic kernel builds.
+constexpr std::uint64_t kLaneGoldenSmallDefault = 0x4d965d6a0c1c29c9ULL;
+constexpr std::uint64_t kLaneGoldenChurnMulti = 0xe9a36ba31f0fc5f4ULL;
+constexpr std::uint64_t kLaneGoldenPaper9Months = 0xb2bbad1dc0f1f9f3ULL;
+constexpr std::uint64_t kLaneGoldenStressNoisy = 0xbcb194951a9a74aaULL;
+
+/// The scalar reference engine's dataset.
+atlas::MeasurementDataset reference_run(const atlas::Campaign& campaign) {
+  atlas::CampaignTelemetry telemetry;
+  return check::reference_campaign(campaign, telemetry);
+}
+
 atlas::ProbeFleet small_fleet() {
   atlas::PlacementConfig pc;
   pc.probe_count = 256;
@@ -85,7 +104,8 @@ TEST(SamplingCacheGolden, SmallDefaultMatchesPreCacheEngine) {
   const net::LatencyModel model;
   atlas::CampaignConfig cc = small_config();
 
-  const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
+  const auto cached =
+      reference_run(atlas::Campaign(fleet, registry, model, cc));
   EXPECT_EQ(dataset_checksum(cached), kGoldenSmallDefault);
   EXPECT_EQ(cached.size(), 6144u);
 }
@@ -106,7 +126,8 @@ TEST(SamplingCacheGolden, ChurnMultiTargetMatchesPreCacheEngine) {
   cc.seed = 99;
   cc.threads = 2;
 
-  const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
+  const auto cached =
+      reference_run(atlas::Campaign(fleet, registry, model, cc));
   EXPECT_EQ(dataset_checksum(cached), kGoldenChurnMulti);
 }
 
@@ -118,15 +139,19 @@ struct ScenarioRun {
   bool batched = false;      ///< ran on the lane-batched engine
 };
 
+/// Which engine a scenario run samples with: Campaign::run()'s choice,
+/// or the scalar reference.
+enum class Engine { kRun, kReference };
+
 ScenarioRun run_scenario(const char* file, unsigned threads,
-                         bool batched = false) {
+                         bool lanes_only = false,
+                         Engine engine = Engine::kRun) {
   std::ifstream in(std::string(SHEARS_SOURCE_DIR) + "/scenarios/" + file);
   EXPECT_TRUE(in.good()) << file;
   config::Scenario sc = config::parse_scenario(in);
   sc.campaign.duration_days = 2;  // checksum window, not the full 9 months
   sc.campaign.threads = threads;
-  sc.campaign.batched = batched;
-  if (batched) {
+  if (lanes_only) {
     // The lane kernel covers churn and faults but not retries or
     // quarantine; drop those so the scenario runs on it.
     sc.campaign.retry = {};
@@ -140,19 +165,25 @@ ScenarioRun run_scenario(const char* file, unsigned threads,
   const auto schedule = sc.make_fault_schedule();
   const atlas::Campaign campaign(fleet, registry, model, sc.campaign,
                                  &schedule);
-  const auto ds = campaign.run();
+  const auto ds =
+      engine == Engine::kRun ? campaign.run() : reference_run(campaign);
   return {dataset_checksum(ds), ds.size(), campaign.expected_record_count(),
-          campaign.batched_eligible()};
+          engine == Engine::kRun && campaign.batched_eligible()};
 }
 
-std::uint64_t scenario_checksum(const char* file) {
-  return run_scenario(file, 1).checksum;
+std::uint64_t scenario_checksum(const char* file,
+                                Engine engine = Engine::kRun) {
+  return run_scenario(file, 1, false, engine).checksum;
 }
 
 TEST(SamplingCacheGolden, ShippedScenariosMatchPreCacheEngine) {
-  EXPECT_EQ(scenario_checksum("paper_9_months.ini"), kGoldenPaper9Months);
+  // faulted_9_months has retries and quarantine: run() samples it with
+  // the scalar engine.
+  EXPECT_EQ(scenario_checksum("paper_9_months.ini", Engine::kReference),
+            kGoldenPaper9Months);
   EXPECT_EQ(scenario_checksum("faulted_9_months.ini"), kGoldenFaulted9Months);
-  EXPECT_EQ(scenario_checksum("stress_noisy_network.ini"), kGoldenStressNoisy);
+  EXPECT_EQ(scenario_checksum("stress_noisy_network.ini", Engine::kReference),
+            kGoldenStressNoisy);
 }
 
 TEST(SamplingCacheThreads, DatasetInvariantAcrossThreadCounts) {
@@ -162,9 +193,57 @@ TEST(SamplingCacheThreads, DatasetInvariantAcrossThreadCounts) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     atlas::CampaignConfig cc = small_config();
     cc.threads = threads;
-    const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
+    const auto cached =
+        reference_run(atlas::Campaign(fleet, registry, model, cc));
     EXPECT_EQ(dataset_checksum(cached), kGoldenSmallDefault)
         << threads << " threads";
+  }
+}
+
+TEST(LaneEngineGolden, SmallDefaultAtEveryThreadCount) {
+  const auto fleet = small_fleet();
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    atlas::CampaignConfig cc = small_config();
+    cc.threads = threads;
+    const atlas::Campaign campaign(fleet, registry, model, cc);
+    ASSERT_TRUE(campaign.batched_eligible());
+    const auto ds = campaign.run();
+    EXPECT_EQ(dataset_checksum(ds), kLaneGoldenSmallDefault) << threads;
+    EXPECT_EQ(ds.size(), 6144u) << threads;
+  }
+}
+
+TEST(LaneEngineGolden, ChurnMultiTargetAtEveryThreadCount) {
+  atlas::PlacementConfig pc;
+  pc.probe_count = 300;
+  pc.seed = 11;
+  const auto fleet = atlas::ProbeFleet::generate(pc);
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    atlas::CampaignConfig cc;
+    cc.duration_days = 5;
+    cc.targets_per_tick = 2;
+    cc.probe_uptime = 0.9;
+    cc.seed = 99;
+    cc.threads = threads;
+    const atlas::Campaign campaign(fleet, registry, model, cc);
+    ASSERT_TRUE(campaign.batched_eligible());
+    EXPECT_EQ(dataset_checksum(campaign.run()), kLaneGoldenChurnMulti)
+        << threads;
+  }
+}
+
+TEST(LaneEngineGolden, ShippedScenariosAtEveryThreadCount) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const ScenarioRun paper = run_scenario("paper_9_months.ini", threads);
+    ASSERT_TRUE(paper.batched);
+    EXPECT_EQ(paper.checksum, kLaneGoldenPaper9Months) << threads;
+    const ScenarioRun noisy = run_scenario("stress_noisy_network.ini", threads);
+    ASSERT_TRUE(noisy.batched);
+    EXPECT_EQ(noisy.checksum, kLaneGoldenStressNoisy) << threads;
   }
 }
 
@@ -188,7 +267,7 @@ TEST(CampaignSlices, ChurnedSlicesMatchGoldenAtEveryThreadCount) {
     cc.seed = 99;
     cc.threads = threads;
     const atlas::Campaign campaign(fleet, registry, model, cc);
-    const auto ds = campaign.run();
+    const auto ds = reference_run(campaign);
     EXPECT_EQ(dataset_checksum(ds), kGoldenChurnMulti) << threads;
     EXPECT_LT(ds.size(), campaign.expected_record_count()) << threads;
   }
@@ -259,8 +338,8 @@ TEST(CampaignSlices, TinyFleetsWithEmptyShardsAreThreadInvariant) {
         atlas::CampaignConfig cc = small_config();
         cc.threads = threads;
         cc.probe_uptime = 0.9;
-        cc.batched = batched;
-        const auto ds = atlas::Campaign(fleet, registry, model, cc).run();
+        const atlas::Campaign campaign(fleet, registry, model, cc);
+        const auto ds = batched ? campaign.run() : reference_run(campaign);
         if (threads == 1) {
           reference = dataset_checksum(ds);
           rows = ds.size();
@@ -339,30 +418,6 @@ TEST(CachedSampling, PingCachedMatchesPingPerturbedStream) {
   EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(CachedSampling, NeutralOverloadMatchesNeutralPerturbation) {
-  const auto fleet = small_fleet();
-  const auto registry = topology::CloudRegistry::campaign_footprint();
-  const net::LatencyModel model;
-  const net::Endpoint& src = fleet.probe(7).endpoint;
-  const topology::CloudRegion& dst = *registry.regions()[10];
-  const net::CachedPath path = model.cache_path(src, dst);
-  const net::CachedProfile profile = model.cache_profile(src);
-
-  stats::Xoshiro256 a(77);
-  stats::Xoshiro256 b(77);
-  for (int burst = 0; burst < 2000; ++burst) {
-    const double load = 0.8 + 0.0005 * burst;
-    const net::PingResult expected =
-        model.ping_cached(path, profile, 3, load, {}, a);
-    const net::PingResult got = model.ping_cached(path, profile, 3, load, b);
-    ASSERT_EQ(got.received, expected.received) << "burst " << burst;
-    ASSERT_EQ(got.min_ms, expected.min_ms) << "burst " << burst;
-    ASSERT_EQ(got.avg_ms, expected.avg_ms) << "burst " << burst;
-    ASSERT_EQ(got.max_ms, expected.max_ms) << "burst " << burst;
-  }
-  EXPECT_EQ(a.next(), b.next());
-}
-
 TEST(HoistedBurstMath, CachedProfileCombinesLossesAsIndependentEvents) {
   // Every probe of the fleet under several core loss rates: on a single
   // probe, p + c - p*c and its reorderings can round alike.
@@ -422,14 +477,6 @@ TEST(HoistedBurstMath, BurstStateAppliesLoadAndPerturbation) {
   const auto clamped =
       net::detail::make_burst_state(path, profile, 10.0, pert, 0.74);
   EXPECT_EQ(clamped.bloat_probability, 1.0);
-
-  // The neutral builder is the same math with the identity perturbation.
-  const auto neutral =
-      net::detail::make_burst_state_neutral(path, profile, 2.0, 0.74);
-  EXPECT_EQ(neutral.loss, profile.combined_loss);
-  EXPECT_EQ(neutral.median_ms, s.median_ms);
-  EXPECT_EQ(neutral.latency_scale, 1.0);
-  EXPECT_EQ(neutral.offset_ms, 0.0);
 }
 
 }  // namespace
