@@ -7,13 +7,13 @@
 // columns and counters restored, summaries not yet built — because the
 // summary rebuild (refresh()) is identical work on either path and
 // would only dilute the comparison; it is timed once, separately. The
-// gate compares the two routes to that common state: the lazy mmap
-// load (every checksum, fingerprint and row still validated) must beat
-// the replay by SHEARS_SNAPSHOT_GATE (default 10; the perf smoke test
-// keeps every assertion but shrinks the campaign and the gate). The
-// eager loads — which also rebuild the summaries and verify them
-// bit-exact against the recorded scalars — are timed and recorded
-// alongside. Every loaded store must reproduce the saved image
+// gate compares the two routes to that common state: the lazy load
+// (every checksum, fingerprint and row still validated) must beat the
+// replay by SHEARS_SNAPSHOT_GATE (default 10; the perf smoke test keeps
+// every assertion but shrinks the campaign and the gate). The eager
+// load — which also fills the cells from the stored sorted runs and
+// verifies them and the rollups bit-exact against the recorded scalars
+// — is timed and recorded alongside. Every loaded store must reproduce the saved image
 // byte-for-byte when re-serialised: always asserted, never relaxed.
 // So must the loaded store's size: the serve.store.sample_bytes gauge
 // may not exceed 18 B a stored row (four columns plus one sorted float
@@ -100,30 +100,23 @@ int main(int argc, char** argv) {
   bench::bench_record_value("snapshot_file_mb", file_mb);
   std::printf("save: %.3f s, %.1f MiB on disk\n", save_s, file_mb);
 
-  // Eager loads: columns restored, summaries rebuilt and verified
-  // bit-exact against the recorded scalars — the turn-key warm start.
-  for (const bool mmap : {false, true}) {
-    serve::SnapshotLoadOptions options;
-    options.mmap = mmap;
+  // Eager load: columns and cells restored, summaries verified bit-exact
+  // against the recorded scalars — the turn-key warm start.
+  {
     start = clock_type::now();
     const serve::ColumnarStore loaded = serve::load_snapshot(
-        path, &standard.fleet, &standard.registry, serve::StoreConfig{0},
-        options);
+        path, &standard.fleet, &standard.registry, serve::StoreConfig{0});
     const double load_s = seconds_since(start);
-    bench::bench_record(mmap ? "snapshot_load_mmap" : "snapshot_load_read",
-                        load_s, rows);
-    if (!image_identical(loaded, expected_image, mmap ? "mmap" : "read")) {
-      return 1;
-    }
-    std::printf("load (%s, eager): %.3f s — re-saved image byte-identical\n",
-                mmap ? "mmap" : "read", load_s);
+    bench::bench_record("snapshot_load", load_s, rows);
+    if (!image_identical(loaded, expected_image, "eager load")) return 1;
+    std::printf("load (eager): %.3f s — re-saved image byte-identical\n",
+                load_s);
   }
 
-  // Lazy mmap load: the warm-start counterpart of the cold replay —
-  // the same stale store the replay left behind, with every checksum,
+  // Lazy load: the warm-start counterpart of the cold replay — the same
+  // stale store the replay left behind, with every checksum,
   // fingerprint and row validated on the way in.
   serve::SnapshotLoadOptions lazy;
-  lazy.mmap = true;
   lazy.lazy_summaries = true;
   start = clock_type::now();
   serve::ColumnarStore restored = serve::load_snapshot(
@@ -134,8 +127,8 @@ int main(int argc, char** argv) {
   restored.attach_metrics(&metrics);
   restored.refresh();
   restored.attach_metrics(nullptr);
-  if (!image_identical(restored, expected_image, "mmap, lazy")) return 1;
-  std::printf("load (mmap, lazy): %.3f s — re-saved image byte-identical\n",
+  if (!image_identical(restored, expected_image, "lazy load")) return 1;
+  std::printf("load (lazy): %.3f s — re-saved image byte-identical\n",
               lazy_s);
   std::remove(path.c_str());
 

@@ -4,9 +4,8 @@
 //    ColumnarStore (plus the delta log when configured), and save the
 //    base snapshot;
 //  * warm start: when the snapshot file already exists, load it back
-//    (buffered or mmap, eager or lazy) instead of replaying the
-//    campaign, apply any delta log, and optionally compact the log into
-//    a fresh base.
+//    (eager or lazy) instead of replaying the campaign, apply any delta
+//    log, and optionally compact the log into a fresh base.
 // Either path ends in the same store; a sample oracle query proves it
 // answers.
 //
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
   const faults::FaultSchedule schedule = scenario.make_fault_schedule();
 
   serve::SnapshotLoadOptions options;
-  options.mmap = scenario.snapshot.mode == "mmap";
   options.lazy_summaries = scenario.snapshot.lazy;
 
   serve::ColumnarStore store(&fleet, &cloud);
@@ -57,9 +55,8 @@ int main(int argc, char** argv) {
       // Warm start: the snapshot replaces the campaign replay.
       store = serve::load_snapshot(scenario.snapshot.path, &fleet, &cloud,
                                    {}, options);
-      std::cout << "loaded " << scenario.snapshot.path << " ("
-                << scenario.snapshot.mode
-                << (scenario.snapshot.lazy ? ", lazy" : "") << "): "
+      std::cout << "loaded " << scenario.snapshot.path
+                << (scenario.snapshot.lazy ? " (lazy)" : "") << ": "
                 << store.rows_stored() << " rows\n";
       if (!scenario.snapshot.delta.empty() &&
           std::ifstream(scenario.snapshot.delta).good()) {

@@ -1,12 +1,17 @@
 #include "check/fuzz.hpp"
 
 #include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "check/oracles.hpp"
 #include "check/property.hpp"
 #include "front/frame.hpp"
 #include "io/block_file.hpp"
@@ -577,6 +582,77 @@ void require_same_store(const serve::ColumnarStore& a,
   }
 }
 
+/// Edits one block's payload and reseals its CRC, so the edit reaches
+/// the loader's content checks instead of its checksum. Most edits hit
+/// a RUNS block's sorted values (swap two, nudge one by an ulp, or
+/// write a NaN or a negative); the rest change one byte of any block.
+void mutate_sealed_block(Gen& gen, std::vector<std::uint8_t>& bytes) {
+  struct Framed {
+    std::size_t at;
+    std::uint32_t tag;
+    std::size_t len;
+  };
+  std::vector<Framed> blocks;
+  std::vector<Framed> runs;
+  std::size_t at = io::kContainerHeaderBytes;
+  while (bytes.size() >= at + io::kBlockHeaderBytes) {
+    std::uint32_t tag = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&tag, bytes.data() + at, sizeof(tag));
+    std::memcpy(&len, bytes.data() + at + 4, sizeof(len));
+    if (len > bytes.size() - at - io::kBlockHeaderBytes) break;
+    const Framed block{at, tag, static_cast<std::size_t>(len)};
+    blocks.push_back(block);
+    if (tag == io::fourcc("RUNS") && len >= 4 + sizeof(float)) {
+      runs.push_back(block);
+    }
+    at += io::kBlockHeaderBytes + block.len;
+  }
+  if (blocks.empty()) return;
+
+  const bool on_runs = !runs.empty() && gen.chance(0.75);
+  const Framed block = on_runs ? runs[gen.below(runs.size())]
+                               : blocks[gen.below(blocks.size())];
+  std::uint8_t* payload = bytes.data() + block.at + io::kBlockHeaderBytes;
+  if (on_runs) {
+    // Values sit at any alignment: edit them through copies.
+    const std::size_t values = (block.len - 4) / sizeof(float);
+    const auto value_at = [payload](std::size_t i) {
+      return payload + 4 + i * sizeof(float);
+    };
+    const std::size_t i = gen.below(values);
+    float v = 0.0f;
+    std::memcpy(&v, value_at(i), sizeof(v));
+    switch (gen.below(4)) {
+      case 0: {  // swap with another value of the block
+        const std::size_t j = gen.below(values);
+        float w = 0.0f;
+        std::memcpy(&w, value_at(j), sizeof(w));
+        std::memcpy(value_at(i), &w, sizeof(w));
+        std::memcpy(value_at(j), &v, sizeof(v));
+        break;
+      }
+      case 1:  // the next float up: often still sorted
+        v = std::nextafter(v, std::numeric_limits<float>::infinity());
+        std::memcpy(value_at(i), &v, sizeof(v));
+        break;
+      case 2:
+        v = std::numeric_limits<float>::quiet_NaN();
+        std::memcpy(value_at(i), &v, sizeof(v));
+        break;
+      default:
+        v = -v - 1.0f;
+        std::memcpy(value_at(i), &v, sizeof(v));
+        break;
+    }
+  } else if (block.len > 0) {
+    payload[gen.below(block.len)] = static_cast<std::uint8_t>(gen.below(256));
+  }
+  const std::span<const std::uint8_t> parts[] = {{payload, block.len}};
+  const std::uint32_t crc = io::block_crc(block.tag, parts);
+  std::memcpy(bytes.data() + block.at + 12, &crc, sizeof(crc));
+}
+
 }  // namespace
 
 SnapshotFuzzStats fuzz_snapshot(Gen& gen, const World& world,
@@ -594,11 +670,13 @@ SnapshotFuzzStats fuzz_snapshot(Gen& gen, const World& world,
     ++stats.rounds;
     std::vector<std::uint8_t> bytes = original;
     const bool clean = gen.chance(0.15);
-    if (!clean) {
+    if (clean) {
+      ++stats.clean;
+    } else if (gen.chance(0.4)) {
+      mutate_sealed_block(gen, bytes);
+    } else {
       const int edits = gen.int_in(1, 4);
       for (int e = 0; e < edits; ++e) mutate_bytes(gen, bytes);
-    } else {
-      ++stats.clean;
     }
 
     try {
@@ -609,9 +687,12 @@ SnapshotFuzzStats fuzz_snapshot(Gen& gen, const World& world,
                                serve::StoreConfig{1}, options);
       ++stats.loaded;
       // Whatever the loader accepts must be a complete store: the lazy
-      // path still owes a working refresh, and a clean image must
-      // reproduce the original exactly.
+      // path still owes a working refresh, its cells must be the sort of
+      // its own columns, and a clean image must reproduce the original
+      // exactly.
       if (!loaded.fresh()) loaded.refresh();
+      check_cells_match_columns(
+          loaded, "fuzz_snapshot: accepted image [" + world.summary + "]");
       if (clean) {
         require_same_store(store, loaded,
                            "fuzz_snapshot: clean image diverges");

@@ -78,12 +78,14 @@ struct SnapshotFuzzStats {
 
 /// Builds the dataset's columnar store once, serialises it with
 /// save_snapshot, then feeds mutated copies of the image (byte flips,
-/// truncations, splices, deletions, insertions) to load_snapshot. The
-/// loader's confinement contract: every mutant either loads a complete,
-/// counter-consistent store or throws serve::SnapshotError /
-/// io::BlockError — any other exception (or a crash) is a
-/// PropertyFailure. Unmutated images must load a store with identical
-/// columns and counters.
+/// truncations, splices, deletions, insertions, and edits under a
+/// resealed CRC — mostly to the RUNS blocks' sorted values) to
+/// load_snapshot. The loader's confinement contract: every mutant
+/// either loads a complete store whose cells and rollups equal a
+/// refresh() over its own columns (check_cells_match_columns), or
+/// throws serve::SnapshotError / io::BlockError — any other exception
+/// (or a crash) is a PropertyFailure. Unmutated images must load a
+/// store with identical columns and counters.
 SnapshotFuzzStats fuzz_snapshot(Gen& gen, const World& world,
                                 const atlas::MeasurementDataset& dataset,
                                 int rounds);

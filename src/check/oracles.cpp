@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,8 +18,10 @@
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
 #include "geo/continent.hpp"
+#include "geo/country.hpp"
 #include "geo/coordinates.hpp"
 #include "geo/spatial_index.hpp"
+#include "net/access.hpp"
 #include "net/burst_lanes.hpp"
 #include "serve/columnar.hpp"
 #include "serve/reference.hpp"
@@ -529,6 +532,72 @@ void check_oracle_vs_fullscan(Gen& gen, const World& world,
                       " chunks), 8 threads");
 }
 
+void check_cells_match_columns(const serve::ColumnarStore& store,
+                               const std::string& what) {
+  // Rebuild the store from its own columns: one row per stored sample,
+  // appended shard by shard and sorted by refresh().
+  serve::ColumnarStore reference(&store.fleet(), &store.registry(),
+                                 serve::StoreConfig{1});
+  std::vector<atlas::Measurement> rows;
+  for (const serve::ColumnarStore::ShardView& shard : store.shards()) {
+    for (std::size_t i = 0; i < shard.rtt_ms.size(); ++i) {
+      atlas::Measurement m;
+      m.probe_id = shard.probe_ids[i];
+      m.region_index = shard.region_index[i];
+      m.tick = shard.ticks[i];
+      m.min_ms = shard.rtt_ms[i];
+      m.sent = 1;
+      m.received = 1;
+      rows.push_back(m);
+    }
+  }
+  reference.append(rows);
+  reference.refresh();
+
+  const auto same = [](const serve::RegionStats& a,
+                       const serve::RegionStats& b) {
+    return a.count == b.count &&
+           std::bit_cast<std::uint64_t>(a.min_ms) ==
+               std::bit_cast<std::uint64_t>(b.min_ms) &&
+           std::bit_cast<std::uint64_t>(a.median_ms) ==
+               std::bit_cast<std::uint64_t>(b.median_ms) &&
+           std::bit_cast<std::uint64_t>(a.p95_ms) ==
+               std::bit_cast<std::uint64_t>(b.p95_ms) &&
+           a.sorted.size() == b.sorted.size() &&
+           std::equal(a.sorted.begin(), a.sorted.end(), b.sorted.begin(),
+                      [](float x, float y) {
+                        return std::bit_cast<std::uint32_t>(x) ==
+                               std::bit_cast<std::uint32_t>(y);
+                      });
+  };
+  const auto compare = [&](std::span<const serve::RegionStats> got,
+                           std::span<const serve::RegionStats> want,
+                           const std::string& scope) {
+    if (got.size() != want.size()) {
+      throw PropertyFailure(what + ": " + scope + " has " +
+                            std::to_string(got.size()) +
+                            " cells, refresh() over its columns builds " +
+                            std::to_string(want.size()));
+    }
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      if (!same(got[r], want[r])) {
+        throw PropertyFailure(what + ": " + scope + " region " +
+                              std::to_string(r) +
+                              " differs from refresh() over its columns");
+      }
+    }
+  };
+  for (std::size_t c = 0; c < geo::country_count(); ++c) {
+    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
+      const auto access = static_cast<net::AccessTechnology>(a);
+      compare(store.shard_stats(c, access), reference.shard_stats(c, access),
+              "shard (" + std::to_string(c) + ", " + std::to_string(a) + ")");
+    }
+    compare(store.country_stats(c), reference.country_stats(c),
+            "country " + std::to_string(c));
+  }
+}
+
 void check_snapshot_roundtrip(const World& world,
                               const atlas::MeasurementDataset& dataset,
                               std::span<const serve::Query> queries) {
@@ -545,6 +614,8 @@ void check_snapshot_roundtrip(const World& world,
 
   const auto require_answers = [&](const serve::ColumnarStore& store,
                                    const std::string& label) {
+    check_cells_match_columns(
+        store, "snapshot round-trip (" + label + ") [" + world.summary + "]");
     if (store.rows_stored() != live.rows_stored() ||
         store.rows_dropped() != live.rows_dropped()) {
       fail(world, "snapshot round-trip (" + label + "): counters diverge");

@@ -79,4 +79,12 @@ void check_snapshot_roundtrip(const World& world,
                               const atlas::MeasurementDataset& dataset,
                               std::span<const serve::Query> queries);
 
+/// The sort-and-compare reference for a loaded store: every shard cell
+/// (count, scalars, sorted run) and every country rollup of `store`
+/// (fresh) must equal what refresh() builds from the store's own
+/// columns. Throws PropertyFailure naming `what` and the first
+/// diverging cell.
+void check_cells_match_columns(const serve::ColumnarStore& store,
+                               const std::string& what);
+
 }  // namespace shears::check

@@ -44,8 +44,7 @@ const std::set<std::string>& allowed_keys() {
       "traffic.queue_capacity", "traffic.client_rate_qps",
       "traffic.client_burst", "traffic.max_batch", "traffic.batch_linger_us",
       "traffic.batch_overhead_us", "traffic.per_query_us",
-      "snapshot.path", "snapshot.delta", "snapshot.mode", "snapshot.lazy",
-      "snapshot.compact",
+      "snapshot.path", "snapshot.delta", "snapshot.lazy", "snapshot.compact",
       "optimizer.threshold_ms", "optimizer.max_sites",
       "optimizer.swap_passes", "optimizer.wireless_scale",
       "optimizer.route_scale", "optimizer.placements",
@@ -287,14 +286,9 @@ Scenario parse_scenario(std::istream& is) {
 
   s.snapshot.path = ini.get_string("snapshot", "path", s.snapshot.path);
   s.snapshot.delta = ini.get_string("snapshot", "delta", s.snapshot.delta);
-  s.snapshot.mode = ini.get_string("snapshot", "mode", s.snapshot.mode);
   s.snapshot.lazy = ini.get_bool("snapshot", "lazy", s.snapshot.lazy);
   s.snapshot.compact =
       ini.get_bool("snapshot", "compact", s.snapshot.compact);
-  if (s.snapshot.mode != "read" && s.snapshot.mode != "mmap") {
-    throw std::runtime_error("scenario: unknown snapshot.mode '" +
-                             s.snapshot.mode + "' (read|mmap)");
-  }
   if (s.snapshot.path.empty() && !s.snapshot.delta.empty()) {
     throw std::runtime_error(
         "scenario: snapshot.delta requires snapshot.path (the log is keyed "
@@ -329,7 +323,7 @@ Scenario parse_scenario(std::istream& is) {
               "optimizer.min_metro_population_m");
   for (const std::string& p : s.optimizer.placements) {
     // Names match edge::to_string(EdgePlacement); literal here because
-    // config stays below the opt/edge layers (same rule as snapshot.mode).
+    // config stays below the opt/edge layers.
     if (p != "basestation" && p != "central-office" && p != "metro-pop" &&
         p != "regional-site") {
       throw std::runtime_error("scenario: unknown optimizer placement '" + p +
@@ -443,7 +437,6 @@ std::string default_scenario_text() {
       << "# ingest on top of the base.\n"
       << "# path = store.snap\n"
       << "# delta = store.delta\n"
-      << "mode = " << s.snapshot.mode << "  ; read | mmap\n"
       << "lazy = " << (s.snapshot.lazy ? "true" : "false")
       << "  ; defer summary rebuild to first use\n"
       << "compact = " << (s.snapshot.compact ? "true" : "false")

@@ -52,7 +52,6 @@ struct Scenario {
   struct SnapshotConfig {
     std::string path{};   ///< base snapshot file; empty = persistence off
     std::string delta{};  ///< delta-log file; empty = no incremental log
-    std::string mode = "read";  ///< load mode: read | mmap
     bool lazy = false;    ///< defer the summary rebuild to first use
     bool compact = false;  ///< fold the delta log into the base after load
   };

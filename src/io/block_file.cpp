@@ -16,6 +16,11 @@
 #define SHEARS_IO_HAVE_MMAP 1
 #endif
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define SHEARS_IO_HAVE_CLMUL 1
+#endif
+
 namespace shears::io {
 
 namespace {
@@ -74,6 +79,80 @@ const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() noexcept {
   return tables;
 }
 
+#ifdef SHEARS_IO_HAVE_CLMUL
+#define SHEARS_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+SHEARS_CLMUL_TARGET inline __m128i load(const void* p) noexcept {
+  return _mm_loadu_si128(static_cast<const __m128i*>(p));
+}
+
+/// Folds lane `x` 128 bits forward with constants `k` onto `next`.
+SHEARS_CLMUL_TARGET inline __m128i fold(__m128i x, __m128i k,
+                                        __m128i next) noexcept {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x11), next),
+                       _mm_clmulepi64_si128(x, k, 0x00));
+}
+
+/// CRC-32 state update over `len` bytes (len >= 64, a multiple of 16)
+/// by carry-less multiplication: four 128-bit lanes fold 64 bytes per
+/// step, then fold into one lane and Barrett-reduce to 32 bits (Gopal
+/// et al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction", Intel 2009; constants for the reflected IEEE
+/// polynomial). `crc` and the result are the inverted register, as in
+/// the table loop. Several times the table loop's throughput, and
+/// bit-identical to it.
+SHEARS_CLMUL_TARGET std::uint32_t crc32_clmul(const std::uint8_t* buf,
+                                              std::size_t len,
+                                              std::uint32_t crc) noexcept {
+  alignas(16) static constexpr std::uint64_t k1k2[] = {0x0154442bd4,
+                                                       0x01c6e41596};
+  alignas(16) static constexpr std::uint64_t k3k4[] = {0x01751997d0,
+                                                       0x00ccaa009e};
+  alignas(16) static constexpr std::uint64_t k5k0[] = {0x0163cd6124, 0};
+  alignas(16) static constexpr std::uint64_t poly[] = {0x01db710641,
+                                                       0x01f7011641};
+
+  __m128i x1 = _mm_xor_si128(load(buf),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load(buf + 16);
+  __m128i x3 = load(buf + 32);
+  __m128i x4 = load(buf + 48);
+  buf += 64;
+  len -= 64;
+  __m128i k = load(k1k2);
+  for (; len >= 64; buf += 64, len -= 64) {
+    x1 = fold(x1, k, load(buf));
+    x2 = fold(x2, k, load(buf + 16));
+    x3 = fold(x3, k, load(buf + 32));
+    x4 = fold(x4, k, load(buf + 48));
+  }
+  k = load(k3k4);
+  x1 = fold(x1, k, x2);
+  x1 = fold(x1, k, x3);
+  x1 = fold(x1, k, x4);
+  for (; len >= 16; buf += 16, len -= 16) x1 = fold(x1, k, load(buf));
+
+  // 128 -> 64 bits, then Barrett reduction to 32.
+  const __m128i mask = _mm_setr_epi32(~0, 0, ~0, 0);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k, 0x10));
+  k = _mm_loadl_epi64(static_cast<const __m128i*>(
+      static_cast<const void*>(k5k0)));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, mask), k, 0x00),
+      _mm_srli_si128(x1, 4));
+  k = load(poly);
+  __m128i x2r = _mm_clmulepi64_si128(_mm_and_si128(x1, mask), k, 0x10);
+  x2r = _mm_clmulepi64_si128(_mm_and_si128(x2r, mask), k, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, x2r), 1));
+}
+
+[[nodiscard]] bool have_clmul() noexcept {
+  static const bool have =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  return have;
+}
+#endif
+
 /// Writes one block header and its payload parts; `what` labels the
 /// error a failed stream raises.
 void write_block(std::ostream& os, std::uint32_t tag,
@@ -104,6 +183,14 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
   std::uint32_t c = seed ^ 0xffffffffu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
+#ifdef SHEARS_IO_HAVE_CLMUL
+  if (n >= 64 && have_clmul()) {
+    const std::size_t bulk = n & ~std::size_t{15};
+    c = crc32_clmul(p, bulk, c);
+    p += bulk;
+    n -= bulk;
+  }
+#endif
   while (n >= 8) {
     const std::uint32_t lo = c ^ read_u32(p);
     const std::uint32_t hi = read_u32(p + 4);
@@ -233,6 +320,12 @@ void BlockReader::fail(const std::string& message) const {
 }
 
 std::optional<Block> BlockReader::next() {
+  std::optional<Block> block = next_unverified();
+  if (block) verify(*block);
+  return block;
+}
+
+std::optional<Block> BlockReader::next_unverified() {
   if (done_) return std::nullopt;
   if (at_ == bytes_.size()) {
     if (require_end_) fail("truncated: container ends without END. block");
@@ -243,21 +336,19 @@ std::optional<Block> BlockReader::next() {
     fail("truncated block header (" + std::to_string(bytes_.size() - at_) +
          " bytes left)");
   }
-  const std::uint32_t tag = read_u32(bytes_.data() + at_);
+  Block block;
+  block.offset = at_;
+  block.tag = read_u32(bytes_.data() + at_);
   const std::uint64_t length = read_u64(bytes_.data() + at_ + 4);
-  const std::uint32_t want = read_u32(bytes_.data() + at_ + 12);
+  block.crc = read_u32(bytes_.data() + at_ + 12);
   if (length > bytes_.size() - at_ - kBlockHeaderBytes) {
-    fail("truncated block '" + fourcc_name(tag) + "' (payload of " +
+    fail("truncated block '" + fourcc_name(block.tag) + "' (payload of " +
          std::to_string(length) + " bytes exceeds the file)");
   }
-  const std::span<const std::uint8_t> payload =
-      bytes_.subspan(at_ + kBlockHeaderBytes, length);
-  const std::span<const std::uint8_t> parts[] = {payload};
-  if (want != block_crc(tag, parts)) {
-    fail("checksum mismatch in block '" + fourcc_name(tag) + "'");
-  }
-  at_ += kBlockHeaderBytes + length;
-  if (tag == kEndTag) {
+  block.payload = bytes_.subspan(at_ + kBlockHeaderBytes, length);
+  if (block.tag == kEndTag) {
+    verify(block);
+    at_ += kBlockHeaderBytes + length;
     if (length != 0) fail("END. block carries a payload");
     if (at_ != bytes_.size()) {
       fail("trailing bytes after the END. block");
@@ -265,7 +356,17 @@ std::optional<Block> BlockReader::next() {
     done_ = true;
     return std::nullopt;
   }
-  return Block{tag, payload};
+  at_ += kBlockHeaderBytes + length;
+  return block;
+}
+
+void BlockReader::verify(const Block& block) const {
+  const std::span<const std::uint8_t> parts[] = {block.payload};
+  if (block.crc != block_crc(block.tag, parts)) {
+    throw BlockError(what_ + ": checksum mismatch in block '" +
+                     fourcc_name(block.tag) + "' at byte offset " +
+                     std::to_string(block.offset));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -294,6 +395,23 @@ FileBytes::~FileBytes() {
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
+}
+
+void FileBytes::release(std::span<const std::uint8_t> range) const noexcept {
+#ifdef SHEARS_IO_HAVE_MMAP
+  if (!mapped_ || range.empty()) return;
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(range.data());
+  const std::uintptr_t first = (begin + page - 1) / page * page;
+  const std::uintptr_t last = (begin + range.size()) / page * page;
+  if (first >= last) return;
+  // Advisory: the mapping is private and read-only, so dropped pages
+  // fault back in from the file; a refusal only keeps them resident.
+  (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                  MADV_DONTNEED);
+#else
+  (void)range;
+#endif
 }
 
 FileBytes FileBytes::open(const std::string& path, Mode mode) {

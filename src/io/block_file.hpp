@@ -130,6 +130,8 @@ void append_block(std::ostream& os, std::uint32_t tag,
 struct Block {
   std::uint32_t tag = 0;
   std::span<const std::uint8_t> payload;
+  std::uint32_t crc = 0;      ///< checksum recorded in the block header
+  std::size_t offset = 0;     ///< byte offset of the block header
 };
 
 /// Iterates the blocks of an in-memory container image, validating the
@@ -145,6 +147,17 @@ class BlockReader {
 
   /// Next block, or nullopt at the clean end of the container.
   [[nodiscard]] std::optional<Block> next();
+
+  /// Next block framed (header, length, terminator) but with its
+  /// payload checksum not yet verified: the caller must verify() it
+  /// before trusting its payload. Lets a loader walk the structure once
+  /// and checksum the bulk blocks on worker threads.
+  [[nodiscard]] std::optional<Block> next_unverified();
+
+  /// Throws the BlockError next() would have thrown for `block` when its
+  /// payload does not match the recorded CRC. Safe to call
+  /// concurrently.
+  void verify(const Block& block) const;
 
   /// Bytes consumed so far (for error context in callers).
   [[nodiscard]] std::size_t offset() const noexcept { return at_; }
@@ -186,6 +199,13 @@ class FileBytes {
     return {data_, size_};
   }
   [[nodiscard]] bool mapped() const noexcept { return mapped_; }
+
+  /// Hands the whole pages inside `range` (a subspan of bytes()) back to
+  /// the OS once the caller has copied what it needs from them, so a
+  /// mapped file is never resident in full alongside what was built
+  /// from it. Reading the range again faults the pages back in from the
+  /// file. A no-op for buffered files.
+  void release(std::span<const std::uint8_t> range) const noexcept;
 
  private:
   const std::uint8_t* data_ = nullptr;

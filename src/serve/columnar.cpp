@@ -279,6 +279,21 @@ void ColumnarStore::refresh_country(std::size_t country_idx) {
   }
 }
 
+void ColumnarStore::refresh_countries(
+    std::span<const std::uint32_t> countries) {
+  std::vector<std::uint64_t> weights(countries.size(), 0);
+  for (std::size_t i = 0; i < countries.size(); ++i) {
+    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
+      weights[i] +=
+          groups_[countries[i] * net::kAccessTechnologyCount + a]
+              .rtt_ms.size();
+    }
+  }
+  core::parallel_largest_first(weights, config_.threads, [&](std::size_t i) {
+    refresh_country(countries[i]);
+  });
+}
+
 void ColumnarStore::refresh() {
   if (fresh_) return;
   const auto start = std::chrono::steady_clock::now();
@@ -310,17 +325,7 @@ void ColumnarStore::refresh() {
   core::parallel_largest_first(weights, config_.threads, [&](std::size_t i) {
     refresh_group(groups_[dirty[i]]);
   });
-  weights.assign(dirty_countries.size(), 0);
-  for (std::size_t i = 0; i < dirty_countries.size(); ++i) {
-    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
-      weights[i] +=
-          groups_[dirty_countries[i] * net::kAccessTechnologyCount + a]
-              .rtt_ms.size();
-    }
-  }
-  core::parallel_largest_first(weights, config_.threads, [&](std::size_t i) {
-    refresh_country(dirty_countries[i]);
-  });
+  refresh_countries(dirty_countries);
   fresh_ = true;
 
   if (metrics_ != nullptr) {

@@ -249,6 +249,9 @@ class ColumnarStore final : public atlas::MeasurementSink {
   }
   void refresh_group(KeyGroup& group);
   void refresh_country(std::size_t country_idx);
+  /// refresh()'s country phase over `countries` (ascending indices):
+  /// re-selects the rollup cells their shards' `folded` lists name.
+  void refresh_countries(std::span<const std::uint32_t> countries);
 
   const atlas::ProbeFleet* fleet_;
   const topology::CloudRegistry* registry_;

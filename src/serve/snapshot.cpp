@@ -1,12 +1,16 @@
 #include "serve/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,6 +54,10 @@ struct SnapshotAccess {
   static std::size_t threads(const ColumnarStore& s) {
     return s.config_.threads;
   }
+  static void refresh_countries(ColumnarStore& s,
+                                std::span<const std::uint32_t> countries) {
+    s.refresh_countries(countries);
+  }
 };
 
 namespace {
@@ -57,9 +65,14 @@ namespace {
 constexpr std::uint32_t kMetaTag = io::fourcc("META");
 constexpr std::uint32_t kShardTag = io::fourcc("SHRD");
 constexpr std::uint32_t kShardStatsTag = io::fourcc("SSTA");
+constexpr std::uint32_t kRunsTag = io::fourcc("RUNS");
 constexpr std::uint32_t kCountryStatsTag = io::fourcc("CSTA");
 constexpr std::uint32_t kDeltaMetaTag = io::fourcc("DMET");
 constexpr std::uint32_t kSegmentTag = io::fourcc("DSEG");
+
+/// The delta log's layout did not change when snapshot v2 added RUNS,
+/// so it keeps its own version.
+constexpr std::uint32_t kDeltaLogVersion = 1;
 
 constexpr std::uint32_t kSkipKey = 0xffffffffu;
 constexpr std::uint64_t kMaxShardRows = 0xffffffffu;
@@ -308,14 +321,17 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os) {
   const auto& groups = SnapshotAccess::groups(store);
   const auto& country_stats = SnapshotAccess::country_stats(store);
 
-  // A SHRD payload is the key/n prefix and the four columns, checksummed
-  // up front straight from the store's columns — in parallel, largest
-  // shard first — then written in key order from the same spans, so the
-  // image is byte for byte the one a serial save writes.
+  // A SHRD payload is the key/n prefix and the four columns; a RUNS
+  // payload is the key and every cell's sorted run, in region order.
+  // Both are checksummed up front straight from the store — in
+  // parallel, largest shard first — then written in key order from the
+  // same spans, so the image is byte for byte the one a serial save
+  // writes.
   struct ShardBlock {
     std::size_t key = 0;
     std::array<std::uint8_t, 12> prefix{};
     std::uint32_t crc = 0;
+    std::uint32_t runs_crc = 0;
   };
   std::vector<ShardBlock> shard_blocks;
   std::vector<std::uint64_t> weights;
@@ -336,10 +352,21 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os) {
         column_bytes(group.region_index), column_bytes(group.ticks),
         column_bytes(group.rtt_ms)};
   };
+  const auto runs_parts = [&groups](const ShardBlock& block) {
+    const auto& cells = groups[block.key].stats;
+    std::vector<std::span<const std::uint8_t>> parts;
+    parts.reserve(cells.size() + 1);
+    parts.emplace_back(block.prefix.data(), sizeof(std::uint32_t));
+    for (const RegionStats& cell : cells) {
+      parts.push_back(column_bytes(cell.sorted));
+    }
+    return parts;
+  };
   core::parallel_largest_first(
       weights, SnapshotAccess::threads(store), [&](std::size_t i) {
-        shard_blocks[i].crc =
-            io::block_crc(kShardTag, shard_parts(shard_blocks[i]));
+        ShardBlock& block = shard_blocks[i];
+        block.crc = io::block_crc(kShardTag, shard_parts(block));
+        block.runs_crc = io::block_crc(kRunsTag, runs_parts(block));
       });
 
   std::uint32_t rollup_count = 0;
@@ -367,6 +394,7 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os) {
     payload.u32(static_cast<std::uint32_t>(block.key));
     write_cells(payload, groups[block.key].stats);
     writer.add(kShardStatsTag, payload.span());
+    writer.add_parts(kRunsTag, runs_parts(block), block.runs_crc);
   }
 
   for (std::size_t c = 0; c < country_stats.size(); ++c) {
@@ -389,33 +417,104 @@ void save_snapshot(const ColumnarStore& store, const std::string& path) {
 // ---------------------------------------------------------------------------
 // Load.
 
-ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
-                            const atlas::ProbeFleet* fleet,
-                            const topology::CloudRegistry* registry,
-                            StoreConfig config, SnapshotLoadOptions options) {
-  ColumnarStore store(fleet, registry, config);
-  auto& groups = SnapshotAccess::groups(store);
-  const auto& probe_key = SnapshotAccess::probe_key(store);
-  std::vector<bool> country_has_shards(geo::country_count(), false);
-  const std::size_t regions = registry->size();
+namespace {
 
-  io::BlockReader reader(bytes, kSnapshotTag, "snapshot");
+/// One mixed 64-bit word per (region, RTT bits) sample. Summed over a
+/// sample sequence it gives an order-independent multiset hash, so a
+/// shard's columns and its cells' sorted runs hash equal exactly when
+/// they hold the same samples, up to a collision.
+[[nodiscard]] std::uint64_t sample_hash(std::uint16_t region,
+                                        float rtt) noexcept {
+  std::uint64_t x = ((std::uint64_t{region} << 32) |
+                     std::bit_cast<std::uint32_t>(rtt)) +
+                    0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// One shard's blocks as the structure pass found them. The SHRD and
+/// RUNS payloads are framed but not yet checksummed; the SSTA scalars
+/// are checksummed and parsed.
+struct ShardBlocks {
+  std::uint32_t key = 0;
+  std::size_t rows = 0;
+  io::Block columns;
+  std::size_t columns_at = 0;  ///< block index in the file
+  std::vector<CellScalars> cells;
+  std::optional<io::Block> runs;  ///< v2 images only
+  std::size_t runs_at = 0;
+};
+
+/// What the serial pass over the block headers learns about an image.
+struct Structure {
+  std::uint32_t version = 0;
+  std::uint64_t rows_stored = 0;
+  std::uint64_t rows_dropped = 0;
+  std::uint64_t total_rows = 0;
+  std::vector<ShardBlocks> shards;
+  std::vector<std::pair<std::uint32_t, std::vector<CellScalars>>> rollups;
+  std::vector<std::uint32_t> countries;  ///< with shards, ascending
+  /// Blocks framed so far, and the index of the block a failure of the
+  /// current check concerns.
+  std::size_t blocks = 0;
+  std::size_t at = 0;
+  /// The framed block the current check reads, if it is one block's.
+  std::optional<io::Block> current;
+};
+
+/// A load step's first failure, positioned by the block it concerns:
+/// the load reports the failure earliest in the file, whichever worker
+/// met it and when, so the error does not depend on the thread count.
+struct Failure {
+  std::size_t block = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;
+
+  void keep(std::size_t at, std::exception_ptr e) {
+    if (at < block) {
+      block = at;
+      error = std::move(e);
+    }
+  }
+};
+
+/// Frames the next block (checksum deferred) and makes it the current
+/// one; nullopt past the END. terminator.
+std::optional<io::Block> frame(io::BlockReader& reader, Structure& s) {
+  s.at = s.blocks;
+  s.current.reset();
+  s.current = reader.next_unverified();
+  if (s.current) ++s.blocks;
+  return s.current;
+}
+
+/// The serial pass: frames every block and checks the image's
+/// structure — tags and their order, META identity, shard keys, row
+/// counts against payload lengths — reading the few header fields of
+/// the bulk SHRD and RUNS blocks before their checksums are verified
+/// (the shard workers verify those), and checksumming and parsing the
+/// small SSTA and CSTA blocks in full. Throws at the first failure,
+/// with `s.at` naming the block it concerns.
+void read_structure(io::BlockReader& reader, const atlas::ProbeFleet& fleet,
+                    const topology::CloudRegistry& registry,
+                    std::size_t keys, Structure& s) {
+  const std::size_t regions = registry.size();
 
   // META — identity first: nothing row-sized is parsed until the
   // snapshot is known to describe this exact fleet/registry pair.
-  std::optional<io::Block> block = reader.next();
-  if (!block || block->tag != kMetaTag) {
+  if (!frame(reader, s) || s.current->tag != kMetaTag) {
     throw SnapshotError("snapshot: first block must be META");
   }
-  Cursor meta(block->payload, "snapshot META");
-  const std::uint32_t version = meta.u32();
-  if (version != kSnapshotVersion) {
+  reader.verify(*s.current);
+  Cursor meta(s.current->payload, "snapshot META");
+  s.version = meta.u32();
+  if (s.version != 1 && s.version != kSnapshotVersion) {
     throw SnapshotError("snapshot: unsupported snapshot version " +
-                        std::to_string(version) + " (this build reads " +
+                        std::to_string(s.version) + " (this build reads 1-" +
                         std::to_string(kSnapshotVersion) + ")");
   }
   const std::uint64_t want_fleet = meta.u64();
-  const std::uint64_t have_fleet = fleet_fingerprint(*fleet);
+  const std::uint64_t have_fleet = fleet_fingerprint(fleet);
   if (want_fleet != have_fleet) {
     throw SnapshotError(
         "snapshot: fleet fingerprint mismatch — snapshot was written "
@@ -423,15 +522,15 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
         hex64(want_fleet) + ", this fleet is " + hex64(have_fleet));
   }
   const std::uint64_t want_registry = meta.u64();
-  const std::uint64_t have_registry = registry_fingerprint(*registry);
+  const std::uint64_t have_registry = registry_fingerprint(registry);
   if (want_registry != have_registry) {
     throw SnapshotError(
         "snapshot: registry fingerprint mismatch — snapshot was written "
         "against " +
         hex64(want_registry) + ", this registry is " + hex64(have_registry));
   }
-  const std::uint64_t rows_stored = meta.u64();
-  const std::uint64_t rows_dropped = meta.u64();
+  s.rows_stored = meta.u64();
+  s.rows_dropped = meta.u64();
   const std::uint32_t country_count = meta.u32();
   const std::uint32_t access_count = meta.u32();
   const std::uint32_t region_count = meta.u32();
@@ -449,26 +548,25 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
   const std::uint32_t rollup_count = meta.u32();
   meta.require_done();
 
-  // SHRD + SSTA pairs, one per non-empty shard.
-  std::vector<std::pair<std::uint32_t, std::vector<CellScalars>>> shard_cells;
-  shard_cells.reserve(group_count);
-  std::uint64_t total_rows = 0;
+  // Per non-empty shard: SHRD, its SSTA scalars and, from v2 on, its
+  // RUNS block.
+  s.shards.reserve(std::min<std::size_t>(group_count, keys));
+  std::vector<bool> seen(keys, false);
+  std::vector<bool> country_has_shards(geo::country_count(), false);
   for (std::uint32_t g = 0; g < group_count; ++g) {
-    block = reader.next();
-    if (!block || block->tag != kShardTag) {
+    if (!frame(reader, s) || s.current->tag != kShardTag) {
       throw SnapshotError("snapshot: expected SHRD block " +
                           std::to_string(g + 1) + " of " +
                           std::to_string(group_count));
     }
-    Cursor shard(block->payload, "snapshot SHRD");
+    Cursor shard(s.current->payload, "snapshot SHRD");
     const std::uint32_t key = shard.u32();
-    if (key >= groups.size()) {
+    if (key >= keys) {
       throw SnapshotError("snapshot: shard key " + std::to_string(key) +
-                          " out of range (" + std::to_string(groups.size()) +
+                          " out of range (" + std::to_string(keys) +
                           " shards)");
     }
-    auto& group = groups[key];
-    if (!group.rtt_ms.empty()) {
+    if (seen[key]) {
       throw SnapshotError("snapshot: duplicate shard key " +
                           std::to_string(key));
     }
@@ -478,95 +576,98 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
                           " row count " + std::to_string(n) +
                           " outside [1, 2^32 - 1]");
     }
-    // Size the payload against the claimed row count *before* resizing
-    // the columns: a crafted count field must produce an error, not a
-    // multi-gigabyte allocation.
+    // Size the payload against the claimed row count before anything is
+    // allocated for it: a crafted count field must produce an error, not
+    // a multi-gigabyte allocation.
     const std::uint64_t want_bytes =
         sizeof(std::uint32_t) + sizeof(std::uint64_t) +
         n * (sizeof(std::uint32_t) + sizeof(std::uint16_t) +
              sizeof(std::uint32_t) + sizeof(float));
-    if (block->payload.size() != want_bytes) {
+    if (s.current->payload.size() != want_bytes) {
       throw SnapshotError("snapshot: shard " + std::to_string(key) +
                           " payload holds " +
-                          std::to_string(block->payload.size()) +
+                          std::to_string(s.current->payload.size()) +
                           " bytes but its row count implies " +
                           std::to_string(want_bytes));
     }
-    const std::size_t rows = static_cast<std::size_t>(n);
-    group.probe_ids.resize(rows);
-    group.region_index.resize(rows);
-    group.ticks.resize(rows);
-    group.rtt_ms.resize(rows);
-    std::memcpy(group.probe_ids.data(),
-                shard.take(rows * sizeof(std::uint32_t)).data(),
-                rows * sizeof(std::uint32_t));
-    std::memcpy(group.region_index.data(),
-                shard.take(rows * sizeof(std::uint16_t)).data(),
-                rows * sizeof(std::uint16_t));
-    std::memcpy(group.ticks.data(),
-                shard.take(rows * sizeof(std::uint32_t)).data(),
-                rows * sizeof(std::uint32_t));
-    std::memcpy(group.rtt_ms.data(), shard.take(rows * sizeof(float)).data(),
-                rows * sizeof(float));
-    shard.require_done();
-
-    // Row validation: every stored row must still resolve, against this
-    // fleet, to exactly the shard it sits in.
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::uint32_t probe = group.probe_ids[i];
-      if (probe >= probe_key.size() || probe_key[probe] != key) {
-        throw SnapshotError("snapshot: shard " + std::to_string(key) +
-                            " row " + std::to_string(i) + ": probe " +
-                            std::to_string(probe) +
-                            " does not map to this shard");
-      }
-      if (group.region_index[i] >= regions) {
-        throw SnapshotError("snapshot: shard " + std::to_string(key) +
-                            " row " + std::to_string(i) + ": region " +
-                            std::to_string(group.region_index[i]) +
-                            " out of range");
-      }
-      const float rtt = group.rtt_ms[i];
-      if (!std::isfinite(rtt) || rtt < 0.0f) {
-        throw SnapshotError("snapshot: shard " + std::to_string(key) +
-                            " row " + std::to_string(i) +
-                            ": non-finite or negative RTT");
-      }
-    }
+    seen[key] = true;
     country_has_shards[key / net::kAccessTechnologyCount] = true;
-    total_rows += n;
+    s.total_rows += n;
+    ShardBlocks& blocks = s.shards.emplace_back();
+    blocks.key = key;
+    blocks.rows = static_cast<std::size_t>(n);
+    blocks.columns = *s.current;
+    blocks.columns_at = s.at;
 
-    block = reader.next();
-    if (!block || block->tag != kShardStatsTag) {
+    if (!frame(reader, s) || s.current->tag != kShardStatsTag) {
       throw SnapshotError("snapshot: shard " + std::to_string(key) +
                           " is missing its SSTA summary block");
     }
-    Cursor ssta(block->payload, "snapshot SSTA");
+    reader.verify(*s.current);
+    Cursor ssta(s.current->payload, "snapshot SSTA");
     if (ssta.u32() != key) {
       throw SnapshotError("snapshot: SSTA block does not follow its shard (" +
                           std::to_string(key) + ")");
     }
-    shard_cells.emplace_back(key, read_cells(ssta, regions, "snapshot SSTA"));
+    blocks.cells = read_cells(ssta, regions, "snapshot SSTA");
     ssta.require_done();
+    // The counts split the shard's rows between its cells (and its RUNS
+    // payload between their runs).
+    std::uint64_t counted = 0;
+    for (const CellScalars& cell : blocks.cells) {
+      if (cell.count > n - counted) {
+        counted = n + 1;
+        break;
+      }
+      counted += cell.count;
+    }
+    if (counted != n) {
+      throw SnapshotError("snapshot: shard " + std::to_string(key) +
+                          ": SSTA counts do not sum to its " +
+                          std::to_string(n) + " rows");
+    }
+
+    if (s.version == 1) continue;
+    if (!frame(reader, s) || s.current->tag != kRunsTag) {
+      throw SnapshotError("snapshot: shard " + std::to_string(key) +
+                          " is missing its RUNS block");
+    }
+    Cursor runs(s.current->payload, "snapshot RUNS");
+    if (runs.u32() != key) {
+      throw SnapshotError("snapshot: RUNS block does not follow its shard (" +
+                          std::to_string(key) + ")");
+    }
+    const std::uint64_t runs_bytes = sizeof(std::uint32_t) + n * sizeof(float);
+    if (s.current->payload.size() != runs_bytes) {
+      throw SnapshotError("snapshot: shard " + std::to_string(key) +
+                          " RUNS payload holds " +
+                          std::to_string(s.current->payload.size()) +
+                          " bytes but its row count implies " +
+                          std::to_string(runs_bytes));
+    }
+    blocks.runs = *s.current;
+    blocks.runs_at = s.at;
   }
-  if (total_rows != rows_stored) {
+  s.at = s.blocks;
+  s.current.reset();
+  if (s.total_rows != s.rows_stored) {
     throw SnapshotError("snapshot: shard rows sum to " +
-                        std::to_string(total_rows) + " but META records " +
-                        std::to_string(rows_stored) + " stored rows");
+                        std::to_string(s.total_rows) + " but META records " +
+                        std::to_string(s.rows_stored) + " stored rows");
   }
 
-  // CSTA country rollups, then the END. terminator (enforced by the
-  // reader draining to nullopt).
-  std::vector<std::pair<std::uint32_t, std::vector<CellScalars>>> rollup_cells;
-  rollup_cells.reserve(rollup_count);
+  // CSTA country rollups, then the END. terminator (frame() returns
+  // nullopt only past it).
+  s.rollups.reserve(rollup_count);
   std::vector<bool> rollup_seen(geo::country_count(), false);
-  while ((block = reader.next())) {
-    if (block->tag != kCountryStatsTag) {
+  while (frame(reader, s)) {
+    if (s.current->tag != kCountryStatsTag) {
       throw SnapshotError("snapshot: unexpected block '" +
-                          io::fourcc_name(block->tag) +
+                          io::fourcc_name(s.current->tag) +
                           "' after the shard list");
     }
-    Cursor csta(block->payload, "snapshot CSTA");
+    reader.verify(*s.current);
+    Cursor csta(s.current->payload, "snapshot CSTA");
     const std::uint32_t country = csta.u32();
     if (country >= geo::country_count()) {
       throw SnapshotError("snapshot: rollup country index " +
@@ -581,52 +682,228 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
                           std::to_string(country) + " which has no shards");
     }
     rollup_seen[country] = true;
-    rollup_cells.emplace_back(country,
-                              read_cells(csta, regions, "snapshot CSTA"));
+    s.rollups.emplace_back(country, read_cells(csta, regions, "snapshot CSTA"));
     csta.require_done();
   }
-  if (rollup_cells.size() != rollup_count) {
-    throw SnapshotError("snapshot: " + std::to_string(rollup_cells.size()) +
+  s.at = s.blocks;
+  if (s.rollups.size() != rollup_count) {
+    throw SnapshotError("snapshot: " + std::to_string(s.rollups.size()) +
                         " rollup blocks but META records " +
                         std::to_string(rollup_count));
   }
   for (std::size_t c = 0; c < country_has_shards.size(); ++c) {
-    if (country_has_shards[c] && !rollup_seen[c]) {
+    if (!country_has_shards[c]) continue;
+    if (!rollup_seen[c]) {
       throw SnapshotError("snapshot: country " + std::to_string(c) +
                           " has shards but no rollup block");
     }
+    s.countries.push_back(static_cast<std::uint32_t>(c));
+  }
+}
+
+/// Everything a shard worker reads besides its own blocks.
+struct ShardLoad {
+  const io::BlockReader* reader = nullptr;
+  const std::vector<std::uint32_t>* probe_key = nullptr;
+  std::size_t regions = 0;
+  bool cells = false;  ///< v2, eager: fill the cells from the RUNS block
+  const io::FileBytes* mapping = nullptr;  ///< released block by block
+  std::size_t limit = 0;  ///< only blocks before this index are read
+};
+
+/// A shard worker: checksums the shard's SHRD block, copies and
+/// validates its columns, then checksums its RUNS block and — eager v2
+/// loads — fills the cells from it, checking that the runs are the sort
+/// of the columns. Throws at the first failure; `at` names the block it
+/// concerns.
+void load_shard(const ShardBlocks& blocks, SnapshotAccess::KeyGroup& group,
+                const ShardLoad& load, std::size_t& at) {
+  const std::string shard = "snapshot: shard " + std::to_string(blocks.key);
+  at = blocks.columns_at;
+  if (at >= load.limit) return;
+  load.reader->verify(blocks.columns);
+  const std::size_t rows = blocks.rows;
+  const std::uint8_t* in = blocks.columns.payload.data() +
+                           sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  const auto take = [&in](auto& column, std::size_t n) {
+    using T = typename std::remove_reference_t<decltype(column)>::value_type;
+    column.resize(n);
+    std::memcpy(column.data(), in, n * sizeof(T));
+    in += n * sizeof(T);
+  };
+  take(group.probe_ids, rows);
+  take(group.region_index, rows);
+  take(group.ticks, rows);
+  take(group.rtt_ms, rows);
+  if (load.mapping != nullptr) load.mapping->release(blocks.columns.payload);
+
+  // Row validation: every stored row must still resolve, against this
+  // fleet, to exactly the shard it sits in.
+  const std::vector<std::uint32_t>& probe_key = *load.probe_key;
+  std::uint64_t column_hash = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint32_t probe = group.probe_ids[i];
+    if (probe >= probe_key.size() || probe_key[probe] != blocks.key) {
+      throw SnapshotError(shard + " row " + std::to_string(i) + ": probe " +
+                          std::to_string(probe) +
+                          " does not map to this shard");
+    }
+    const std::uint16_t region = group.region_index[i];
+    if (region >= load.regions) {
+      throw SnapshotError(shard + " row " + std::to_string(i) + ": region " +
+                          std::to_string(region) + " out of range");
+    }
+    const float rtt = group.rtt_ms[i];
+    if (!std::isfinite(rtt) || rtt < 0.0f) {
+      throw SnapshotError(shard + " row " + std::to_string(i) +
+                          ": non-finite or negative RTT");
+    }
+    if (load.cells) column_hash += sample_hash(region, rtt);
   }
 
-  SnapshotAccess::set_counters(store, static_cast<std::size_t>(rows_stored),
-                               static_cast<std::size_t>(rows_dropped));
-  SnapshotAccess::set_fresh(store, total_rows == 0);
+  if (!blocks.runs) return;
+  at = blocks.runs_at;
+  if (at >= load.limit) return;
+  load.reader->verify(*blocks.runs);
+  if (load.cells) {
+    // Each run must be nondecreasing, finite and non-negative, and the
+    // runs together must hold exactly the column samples: then the run
+    // is the sort of the cell's samples and the store equals the one a
+    // refresh() over the columns builds.
+    const std::uint8_t* run = blocks.runs->payload.data() +
+                              sizeof(std::uint32_t);
+    std::uint64_t run_hash = 0;
+    group.stats.resize(load.regions);
+    for (std::size_t r = 0; r < load.regions; ++r) {
+      const auto count = static_cast<std::size_t>(blocks.cells[r].count);
+      if (count == 0) continue;
+      RegionStats& cell = group.stats[r];
+      cell.sorted.resize(count);
+      std::memcpy(cell.sorted.data(), run, count * sizeof(float));
+      run += count * sizeof(float);
+      const auto region = static_cast<std::uint16_t>(r);
+      float prev = 0.0f;
+      for (const float v : cell.sorted) {
+        if (!(v >= prev)) {
+          throw SnapshotError(shard + " region " + std::to_string(r) +
+                              ": sorted run is out of order or holds a NaN "
+                              "or negative value");
+        }
+        prev = v;
+        run_hash += sample_hash(region, v);
+      }
+      if (!std::isfinite(prev)) {
+        throw SnapshotError(shard + " region " + std::to_string(r) +
+                            ": sorted run holds a non-finite value");
+      }
+      summarise_cell(cell);
+      group.folded.push_back(region);
+      group.run_bytes += cell.sorted.capacity() * sizeof(float);
+    }
+    if (run_hash != column_hash) {
+      throw SnapshotError(shard +
+                          ": sorted runs do not hold the samples of its "
+                          "columns (multiset hash mismatch)");
+    }
+    group.summarised = rows;
+  }
+  if (load.mapping != nullptr) load.mapping->release(blocks.runs->payload);
+}
 
-  if (!options.lazy_summaries && total_rows != 0) {
-    // Rebuild the summaries through the store's own machinery, then
-    // cross-check against the scalars recorded at save time: columns are
-    // authoritative, scalars are the tripwire.
+ColumnarStore load_image(std::span<const std::uint8_t> bytes,
+                         const atlas::ProbeFleet* fleet,
+                         const topology::CloudRegistry* registry,
+                         StoreConfig config, SnapshotLoadOptions options,
+                         const io::FileBytes* mapping) {
+  ColumnarStore store(fleet, registry, config);
+  auto& groups = SnapshotAccess::groups(store);
+  io::BlockReader reader(bytes, kSnapshotTag, "snapshot");
+
+  Structure s;
+  Failure failure;
+  try {
+    read_structure(reader, *fleet, *registry, groups.size(), s);
+  } catch (const SnapshotError&) {
+    failure.keep(s.at, std::current_exception());
+    // A check that read fields the block's checksum covers: a damaged
+    // block reports the checksum, as a block-by-block reader would.
+    try {
+      if (s.current) reader.verify(*s.current);
+    } catch (const io::BlockError&) {
+      failure.error = std::current_exception();
+    }
+  } catch (const io::BlockError&) {
+    failure.keep(s.at, std::current_exception());
+  }
+
+  // The shards (before the first structural failure, if any) in
+  // parallel, largest first. Workers must not throw: each records its
+  // first failure, and the earliest in the file is reported.
+  const ShardLoad load{&reader,
+                       &SnapshotAccess::probe_key(store),
+                       registry->size(),
+                       s.version >= 2 && !options.lazy_summaries,
+                       mapping,
+                       failure.block};
+  std::vector<Failure> failures(s.shards.size());
+  std::vector<std::uint64_t> weights(s.shards.size());
+  for (std::size_t i = 0; i < s.shards.size(); ++i) {
+    weights[i] = s.shards[i].rows;
+  }
+  core::parallel_largest_first(weights, config.threads, [&](std::size_t i) {
+    std::size_t at = 0;
+    try {
+      load_shard(s.shards[i], groups[s.shards[i].key], load, at);
+    } catch (...) {
+      failures[i].keep(at, std::current_exception());
+    }
+  });
+  for (const Failure& f : failures) failure.keep(f.block, f.error);
+  if (failure.error) std::rethrow_exception(failure.error);
+
+  SnapshotAccess::set_counters(store, static_cast<std::size_t>(s.rows_stored),
+                               static_cast<std::size_t>(s.rows_dropped));
+  SnapshotAccess::set_fresh(store, s.total_rows == 0);
+  if (options.lazy_summaries || s.total_rows == 0) return store;
+
+  // v2 workers filled the cells; the rollups select across them. A v1
+  // image carries no runs, so refresh() sorts the columns.
+  if (load.cells) {
+    SnapshotAccess::refresh_countries(store, s.countries);
+    SnapshotAccess::set_fresh(store, true);
+  } else {
     store.refresh();
-    for (const auto& [key, cells] : shard_cells) {
-      verify_cells(groups[key].stats, cells,
-                   "snapshot: shard " + std::to_string(key));
-    }
-    const auto& country_stats = SnapshotAccess::country_stats(store);
-    for (const auto& [country, cells] : rollup_cells) {
-      verify_cells(country_stats[country], cells,
-                   "snapshot: country " + std::to_string(country));
-    }
+  }
+  // The scalars recorded at save time are the tripwire: the cells and
+  // rollups must reproduce them bit for bit.
+  for (const ShardBlocks& blocks : s.shards) {
+    verify_cells(groups[blocks.key].stats, blocks.cells,
+                 "snapshot: shard " + std::to_string(blocks.key));
+  }
+  const auto& country_stats = SnapshotAccess::country_stats(store);
+  for (const auto& [country, cells] : s.rollups) {
+    verify_cells(country_stats[country], cells,
+                 "snapshot: country " + std::to_string(country));
   }
   return store;
+}
+
+}  // namespace
+
+ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
+                            const atlas::ProbeFleet* fleet,
+                            const topology::CloudRegistry* registry,
+                            StoreConfig config, SnapshotLoadOptions options) {
+  return load_image(bytes, fleet, registry, config, options, nullptr);
 }
 
 ColumnarStore load_snapshot(const std::string& path,
                             const atlas::ProbeFleet* fleet,
                             const topology::CloudRegistry* registry,
                             StoreConfig config, SnapshotLoadOptions options) {
-  const io::FileBytes file = io::FileBytes::open(
-      path, options.mmap ? io::FileBytes::Mode::kMmap
-                         : io::FileBytes::Mode::kRead);
-  return load_snapshot(file.bytes(), fleet, registry, config, options);
+  const io::FileBytes file =
+      io::FileBytes::open(path, io::FileBytes::Mode::kMmap);
+  return load_image(file.bytes(), fleet, registry, config, options, &file);
 }
 
 // ---------------------------------------------------------------------------
@@ -657,10 +934,10 @@ DeltaLog::DeltaLog(ColumnarStore* store, std::string path, Open open)
     }
     Cursor dmet(block->payload, "delta log DMET");
     const std::uint32_t version = dmet.u32();
-    if (version != kSnapshotVersion) {
+    if (version != kDeltaLogVersion) {
       throw SnapshotError("delta log: unsupported version " +
                           std::to_string(version) + " (this build reads " +
-                          std::to_string(kSnapshotVersion) + ")");
+                          std::to_string(kDeltaLogVersion) + ")");
     }
     if (dmet.u64() != fleet_fingerprint(store_->fleet()) ||
         dmet.u64() != registry_fingerprint(store_->registry())) {
@@ -733,7 +1010,7 @@ void DeltaLog::write_header() {
   }
   io::BlockWriter writer(impl_->out, kDeltaTag, "delta log");
   PayloadWriter payload;
-  payload.u32(kSnapshotVersion);
+  payload.u32(kDeltaLogVersion);
   payload.u64(fleet_fingerprint(store_->fleet()));
   payload.u64(registry_fingerprint(store_->registry()));
   payload.u64(store_->rows_stored());
@@ -782,10 +1059,10 @@ std::size_t apply_delta_log(ColumnarStore& store, const std::string& path) {
   }
   Cursor dmet(block->payload, "delta log DMET");
   const std::uint32_t version = dmet.u32();
-  if (version != kSnapshotVersion) {
+  if (version != kDeltaLogVersion) {
     throw SnapshotError("delta log: unsupported version " +
                         std::to_string(version) + " (this build reads " +
-                        std::to_string(kSnapshotVersion) + ")");
+                        std::to_string(kDeltaLogVersion) + ")");
   }
   if (dmet.u64() != fleet_fingerprint(store.fleet()) ||
       dmet.u64() != registry_fingerprint(store.registry())) {

@@ -9,13 +9,25 @@
 // restart loads it back orders of magnitude faster than the replay.
 //
 // Exactness contract: a store loaded from a snapshot is byte-identical
-// to the live-built store it was saved from. Only the raw columns and
-// counters are authoritative on disk; the Ecdf summaries are a pure
-// function of the columns, so load rebuilds them through the store's
-// own refresh() machinery and then cross-checks the rebuilt scalars
-// against the scalars recorded at save time, bit for bit. Any
-// divergence — corruption the CRC missed, or a quantile-algorithm
-// change that silently re-interprets old data — fails the load.
+// to the live-built store it was saved from. The raw columns and
+// counters are authoritative on disk. Each cell's sorted run — the one
+// sorted copy of its samples the store keeps — is stored too (v2), so
+// a load copies the runs instead of sorting again, after checking in
+// O(n) that they are the sort of the columns: every run nondecreasing,
+// finite and non-negative, and an order-independent multiset hash of
+// (region, RTT bits) over the runs equal to the same hash over the
+// columns. The cell and rollup scalars are then recomputed from the
+// runs and cross-checked, bit for bit, against the scalars recorded at
+// save time. Any divergence — corruption the CRC missed, or a
+// quantile-algorithm change that silently re-interprets old data —
+// fails the load. A v1 image (no runs) loads through the same parser
+// and rebuilds its cells through the store's own refresh().
+//
+// Load maps the image, walks its block headers once to check the
+// structure, then checksums, copies and validates the shards in
+// parallel, largest first, releasing each block's pages once copied;
+// the reported error is the one earliest in the file, whatever the
+// thread count.
 //
 // Error confinement mirrors the serving front-end's frame codec: a
 // damaged file (truncation, flipped bits, wrong version, wrong fleet)
@@ -49,8 +61,9 @@ inline constexpr std::uint32_t kSnapshotTag = io::fourcc("SNP1");
 inline constexpr std::uint32_t kDeltaTag = io::fourcc("SND1");
 
 /// Version of the snapshot payload layout (bumped when block payloads
-/// change shape; the container itself is versioned separately).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// change shape; the container itself is versioned separately). v2
+/// adds one RUNS block per shard; v1 images still load.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Any snapshot/delta-log failure: damaged file, version or fingerprint
 /// mismatch, store/log inconsistency. Loads that throw leave no
@@ -81,14 +94,10 @@ void save_snapshot(const ColumnarStore& store, std::ostream& os);
 void save_snapshot(const ColumnarStore& store, const std::string& path);
 
 struct SnapshotLoadOptions {
-  /// Path overload only: map the file instead of reading it — pages
-  /// fault in as they are parsed and ride the OS page cache across
-  /// restarts. Falls back to a buffered read where mapping fails.
-  bool mmap = false;
-  /// Skip the summary rebuild and verification: the load returns a
-  /// stale store (fresh() == false) carrying only columns and counters,
-  /// and the caller runs refresh() when it first needs stats. The lazy
-  /// path still validates every checksum, fingerprint and row.
+  /// Skip the summaries: the load returns a stale store (fresh() ==
+  /// false) carrying only columns and counters, and the caller runs
+  /// refresh() when it first needs stats. The lazy path still validates
+  /// every checksum (the RUNS blocks' included), fingerprint and row.
   bool lazy_summaries = false;
 };
 
@@ -96,11 +105,15 @@ struct SnapshotLoadOptions {
 /// (magic, version, every block CRC), the snapshot version, the
 /// fleet/registry fingerprints, and every row (probe resolves to the
 /// recorded shard, region in range, RTT finite and non-negative);
-/// unless lazy, rebuilds the summaries and verifies them bit-exact
-/// against the scalars recorded at save time. Throws SnapshotError (or
-/// io::BlockError for container-level damage); on throw, no store is
-/// returned — never a partial one. `fleet` and `registry` must outlive
-/// the returned store.
+/// unless lazy, fills the cells from the stored runs (v2) or refresh()
+/// (v1) and verifies the scalars bit-exact against those recorded at
+/// save time. Shards load on StoreConfig::threads workers; the error
+/// reported for a damaged image is the same for any thread count.
+/// Throws SnapshotError (or io::BlockError for container-level damage);
+/// on throw, no store is returned — never a partial one. The path
+/// overload maps the file (a buffered read where mapping fails) and
+/// hands each block's pages back once copied. `fleet` and `registry`
+/// must outlive the returned store.
 [[nodiscard]] ColumnarStore load_snapshot(
     std::span<const std::uint8_t> bytes, const atlas::ProbeFleet* fleet,
     const topology::CloudRegistry* registry, StoreConfig config = {},

@@ -182,26 +182,24 @@ TEST(Scenario, SnapshotKeysApply) {
       "[snapshot]\n"
       "path = store.snap\n"
       "delta = store.delta\n"
-      "mode = mmap\n"
       "lazy = true\n"
       "compact = true\n");
   EXPECT_EQ(s.snapshot.path, "store.snap");
   EXPECT_EQ(s.snapshot.delta, "store.delta");
-  EXPECT_EQ(s.snapshot.mode, "mmap");
   EXPECT_TRUE(s.snapshot.lazy);
   EXPECT_TRUE(s.snapshot.compact);
 
-  // Defaults: persistence off, buffered read, eager summaries.
+  // Defaults: persistence off, eager summaries.
   const Scenario d = parse_scenario_string("");
   EXPECT_TRUE(d.snapshot.path.empty());
   EXPECT_TRUE(d.snapshot.delta.empty());
-  EXPECT_EQ(d.snapshot.mode, "read");
   EXPECT_FALSE(d.snapshot.lazy);
   EXPECT_FALSE(d.snapshot.compact);
 }
 
 TEST(Scenario, RejectsBadSnapshotConfig) {
-  EXPECT_THROW(parse_scenario_string("[snapshot]\nmode = eager\n"),
+  // Loads always map the image: there is no load mode to choose.
+  EXPECT_THROW(parse_scenario_string("[snapshot]\nmode = mmap\n"),
                std::runtime_error);
   // A delta log without a base snapshot has nothing to key itself to.
   EXPECT_THROW(parse_scenario_string("[snapshot]\ndelta = x.delta\n"),

@@ -1,18 +1,21 @@
 // Snapshot persistence: save → load must reproduce the store byte for
 // byte (columns, counters, every summary scalar), across build paths,
-// thread counts, file and mmap loads, and mid-ingest snapshots that are
-// appended to after loading. The corrupt-file corpus pins the error
-// confinement contract: a damaged image — truncated, bit-flipped,
-// wrong version, wrong fleet — throws a precise SnapshotError or
-// io::BlockError and never yields a partial store. The delta log is
-// exercised end to end: publish / crash-recover / extend / compact /
-// torn tail.
+// load thread counts, file and in-memory loads, v1 and v2 images, and
+// mid-ingest snapshots that are appended to after loading. The
+// corrupt-file corpus pins the error confinement contract: a damaged
+// image — truncated, bit-flipped, wrong version, wrong fleet, sorted
+// runs that are not the sort of the columns — throws a precise
+// SnapshotError or io::BlockError, the same one at every thread count,
+// and never yields a partial store. The delta log is exercised end to
+// end: publish / crash-recover / extend / compact / torn tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -207,6 +210,70 @@ void reseal_block_crc(std::vector<std::uint8_t>& image, std::size_t block_at) {
   return ::testing::TempDir() + name;
 }
 
+constexpr std::uint32_t kShardTag = io::fourcc("SHRD");
+constexpr std::uint32_t kShardStatsTag = io::fourcc("SSTA");
+constexpr std::uint32_t kRunsTag = io::fourcc("RUNS");
+
+/// Byte offsets of an image's block headers with tag `tag`, in file
+/// order (every block when `tag` is 0).
+[[nodiscard]] std::vector<std::size_t> blocks_of(
+    const std::vector<std::uint8_t>& image, std::uint32_t tag = 0) {
+  std::vector<std::size_t> out;
+  std::size_t at = io::kContainerHeaderBytes;
+  while (at < image.size()) {
+    std::uint32_t got = 0;
+    std::memcpy(&got, image.data() + at, sizeof(got));
+    if (tag == 0 || got == tag) out.push_back(at);
+    at += io::kBlockHeaderBytes +
+          static_cast<std::size_t>(block_payload_len(image, at));
+  }
+  return out;
+}
+
+[[nodiscard]] std::size_t block_end(const std::vector<std::uint8_t>& image,
+                                    std::size_t block_at) {
+  return block_at + io::kBlockHeaderBytes +
+         static_cast<std::size_t>(block_payload_len(image, block_at));
+}
+
+/// The image a v1 saver writes for the same store: the v2 image without
+/// its RUNS blocks, META resealed at version 1.
+[[nodiscard]] std::vector<std::uint8_t> as_v1(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<std::uint8_t> out(image.begin(),
+                                image.begin() + io::kContainerHeaderBytes);
+  for (const std::size_t at : blocks_of(image)) {
+    std::uint32_t tag = 0;
+    std::memcpy(&tag, image.data() + at, sizeof(tag));
+    if (tag == kRunsTag) continue;
+    out.insert(out.end(), image.begin() + static_cast<std::ptrdiff_t>(at),
+               image.begin() + static_cast<std::ptrdiff_t>(block_end(image, at)));
+  }
+  const std::uint32_t v1 = 1;
+  std::memcpy(out.data() + kMetaPayloadAt, &v1, sizeof(v1));
+  reseal_block_crc(out, kMetaBlockAt);
+  return out;
+}
+
+/// Byte offset of value `i` of a RUNS block's concatenated runs.
+[[nodiscard]] std::size_t run_value_at(std::size_t runs_at, std::size_t i) {
+  return runs_at + io::kBlockHeaderBytes + sizeof(std::uint32_t) +
+         i * sizeof(float);
+}
+
+/// "<exception type>: <message>" of a load, or "loaded" when it succeeds.
+template <typename Load>
+[[nodiscard]] std::string outcome_of(Load&& load) {
+  try {
+    (void)load();
+    return "loaded";
+  } catch (const SnapshotError& error) {
+    return std::string("SnapshotError: ") + error.what();
+  } catch (const io::BlockError& error) {
+    return std::string("BlockError: ") + error.what();
+  }
+}
+
 // ------------------------------------------------------------ round-trip
 
 TEST(Snapshot, TinyRoundTripIsExact) {
@@ -295,15 +362,53 @@ TEST(Snapshot, FileRoundTripBufferedAndMmap) {
   const std::string path = temp_path("snapshot_roundtrip.snap");
   save_snapshot(store, path);
 
-  ColumnarStore buffered =
+  // The path overload maps the file and releases its pages as it goes.
+  ColumnarStore mapped =
       load_snapshot(path, &world.fleet, &world.registry, StoreConfig{1});
-  expect_same_store(store, buffered);
-
-  SnapshotLoadOptions mmap;
-  mmap.mmap = true;
-  ColumnarStore mapped = load_snapshot(path, &world.fleet, &world.registry,
-                                       StoreConfig{1}, mmap);
   expect_same_store(store, mapped);
+
+  // The same bytes read into a buffer load the same store.
+  const io::FileBytes buffered =
+      io::FileBytes::open(path, io::FileBytes::Mode::kRead);
+  ASSERT_FALSE(buffered.mapped());
+  expect_same_store(store, load_snapshot(buffered.bytes(), &world.fleet,
+                                         &world.registry, StoreConfig{1}));
+
+  // Released pages of a mapping read back from the file unchanged.
+  const io::FileBytes file =
+      io::FileBytes::open(path, io::FileBytes::Mode::kMmap);
+  const std::vector<std::uint8_t> before(file.bytes().begin(),
+                                         file.bytes().end());
+  file.release(file.bytes());
+  buffered.release(buffered.bytes());
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), file.bytes().begin(),
+                         file.bytes().end()));
+  EXPECT_EQ(image_of(store), before);
+}
+
+TEST(Snapshot, V1ImageLoadsToTheSameStore) {
+  // A v1 image carries no sorted runs: the load sorts its columns
+  // through refresh() and must arrive at the store a v2 load copies.
+  const TinyWorld world;
+  ColumnarStore store(&world.fleet, &world.registry, StoreConfig{1});
+  store.append(world.standard_rows());
+  store.refresh();
+  const std::vector<std::uint8_t> image = image_of(store);
+  const std::vector<std::uint8_t> v1 = as_v1(image);
+  ASSERT_EQ(v1.size(), image.size() - blocks_of(image, kRunsTag).size() *
+                                          (io::kBlockHeaderBytes + 4) -
+                           7 * sizeof(float));
+
+  const ColumnarStore loaded = load_image(v1, world);
+  EXPECT_TRUE(loaded.fresh());
+  expect_same_store(store, loaded);
+  EXPECT_EQ(image_of(loaded), image);  // re-saved as v2
+
+  SnapshotLoadOptions lazy;
+  lazy.lazy_summaries = true;
+  ColumnarStore deferred = load_image(v1, world, lazy);
+  deferred.refresh();
+  expect_same_store(store, deferred);
 }
 
 TEST(Snapshot, SaveToUnwritablePathLeavesNoFile) {
@@ -374,6 +479,15 @@ class SnapshotCorpus : public ::testing::Test {
     store_->append(world_.standard_rows());
     store_->refresh();
     image_ = image_of(*store_);
+  }
+
+  /// The RUNS block of the DE ethernet shard: one cell, 10 20 30 40.
+  [[nodiscard]] std::size_t four_value_runs() const {
+    for (const std::size_t at : blocks_of(image_, kRunsTag)) {
+      if (block_payload_len(image_, at) == 4 + 4 * sizeof(float)) return at;
+    }
+    ADD_FAILURE() << "no four-value RUNS block";
+    return 0;
   }
 
   TinyWorld world_;
@@ -451,26 +565,176 @@ TEST_F(SnapshotCorpus, WrongFleetHashIsRejected) {
 TEST_F(SnapshotCorpus, ScalarTripwireCatchesColumnTampering) {
   // Rewrite the last RTT of the first shard to a different finite value
   // and re-seal the CRC: the checksum passes, row validation passes,
-  // but the summaries rebuilt from the columns no longer match the
-  // scalars recorded at save time.
+  // but the columns no longer hold the samples the cells were built
+  // from. A v1 image rebuilds the summaries from the columns, which no
+  // longer match the scalars recorded at save time; a v2 image fails
+  // earlier, at the check that its sorted runs hold the columns.
+  for (const bool v1 : {true, false}) {
+    std::vector<std::uint8_t> bad = v1 ? as_v1(image_) : image_;
+    const std::size_t shard_at =
+        kMetaPayloadAt +
+        static_cast<std::size_t>(block_payload_len(bad, kMetaBlockAt));
+    const auto shard_len =
+        static_cast<std::size_t>(block_payload_len(bad, shard_at));
+    const float forged = 999.0f;
+    std::memcpy(bad.data() + shard_at + io::kBlockHeaderBytes + shard_len -
+                    sizeof(float),
+                &forged, sizeof(forged));
+    reseal_block_crc(bad, shard_at);
+    try {
+      (void)load_image(bad, world_);
+      FAIL() << "tampered column accepted (v1 " << v1 << ")";
+    } catch (const SnapshotError& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find(v1 ? "does not match the scalars"
+                             : "sorted runs do not hold the samples"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+// The v2 corpus: each image edits the sorted runs (or the counts that
+// split them) and reseals the CRC, so only the run checks stand between
+// it and a wrong store.
+
+TEST_F(SnapshotCorpus, UnsortedRunIsRejected) {
+  const std::size_t runs_at = four_value_runs();
   std::vector<std::uint8_t> bad = image_;
-  const std::size_t shard_at =
-      kMetaPayloadAt +
-      static_cast<std::size_t>(block_payload_len(bad, kMetaBlockAt));
-  const auto shard_len =
-      static_cast<std::size_t>(block_payload_len(bad, shard_at));
-  const float forged = 999.0f;
-  std::memcpy(bad.data() + shard_at + io::kBlockHeaderBytes + shard_len -
-                  sizeof(float),
-              &forged, sizeof(forged));
-  reseal_block_crc(bad, shard_at);
-  try {
-    (void)load_image(bad, world_);
-    FAIL() << "tampered column accepted";
-  } catch (const SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("does not match the scalars"),
+  std::vector<std::uint8_t> a(bad.begin() + run_value_at(runs_at, 0),
+                              bad.begin() + run_value_at(runs_at, 1));
+  std::copy(bad.begin() + run_value_at(runs_at, 1),
+            bad.begin() + run_value_at(runs_at, 2),
+            bad.begin() + run_value_at(runs_at, 0));
+  std::copy(a.begin(), a.end(), bad.begin() + run_value_at(runs_at, 1));
+  reseal_block_crc(bad, runs_at);
+  EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                .find("out of order"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotCorpus, RunLengthDisagreeingWithCountsIsRejected) {
+  const std::size_t runs_at = four_value_runs();
+  std::size_t ssta_at = 0;
+  for (const std::size_t at : blocks_of(image_, kShardStatsTag)) {
+    if (block_end(image_, at) == runs_at) ssta_at = at;
+  }
+  ASSERT_NE(runs_at, 0u);
+  ASSERT_NE(ssta_at, 0u);
+
+  // SSTA says region 0 holds 3 samples and region 1 one: region 0's run
+  // comes out one value short, region 1's one value long.
+  {
+    std::vector<std::uint8_t> bad = image_;
+    const std::size_t counts = ssta_at + io::kBlockHeaderBytes + 8;
+    const std::uint64_t three = 3;
+    const std::uint64_t one = 1;
+    std::memcpy(bad.data() + counts, &three, sizeof(three));
+    std::memcpy(bad.data() + counts + 32, &one, sizeof(one));
+    reseal_block_crc(bad, ssta_at);
+    EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                  .find("multiset hash mismatch"),
+              std::string::npos);
+  }
+  // The RUNS block one value short of, or one past, the shard's rows.
+  for (const bool longer : {false, true}) {
+    std::vector<std::uint8_t> bad = image_;
+    const auto end = static_cast<std::ptrdiff_t>(block_end(bad, runs_at));
+    if (longer) {
+      const std::vector<std::uint8_t> extra(sizeof(float), 0x42);
+      bad.insert(bad.begin() + end, extra.begin(), extra.end());
+    } else {
+      bad.erase(bad.begin() + end - 4, bad.begin() + end);
+    }
+    const std::uint64_t len =
+        block_payload_len(image_, runs_at) + (longer ? 4 : -4);
+    std::memcpy(bad.data() + runs_at + 4, &len, sizeof(len));
+    reseal_block_crc(bad, runs_at);
+    EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                  .find("RUNS payload holds"),
               std::string::npos)
-        << error.what();
+        << "longer " << longer;
+  }
+}
+
+TEST_F(SnapshotCorpus, ReplacedRunValueFailsTheMultisetCheck) {
+  // 40 -> 41 keeps the run sorted, finite and non-negative: only the
+  // hash against the columns sees it.
+  const std::size_t runs_at = four_value_runs();
+  std::vector<std::uint8_t> bad = image_;
+  const float forged = 41.0f;
+  std::memcpy(bad.data() + run_value_at(runs_at, 3), &forged, sizeof(forged));
+  reseal_block_crc(bad, runs_at);
+  EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                .find("multiset hash mismatch"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotCorpus, NanNegativeOrInfiniteRunValueIsRejected) {
+  const std::size_t runs_at = four_value_runs();
+  const struct {
+    std::size_t index;
+    float value;
+    const char* why;
+  } cases[] = {
+      {3, std::numeric_limits<float>::quiet_NaN(), "holds a NaN"},
+      {0, -1.0f, "or negative value"},
+      {3, std::numeric_limits<float>::infinity(), "non-finite"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::uint8_t> bad = image_;
+    std::memcpy(bad.data() + run_value_at(runs_at, c.index), &c.value,
+                sizeof(c.value));
+    reseal_block_crc(bad, runs_at);
+    const std::string outcome =
+        outcome_of([&] { return load_image(bad, world_); });
+    EXPECT_EQ(outcome.rfind("SnapshotError", 0), 0u) << outcome;
+    EXPECT_NE(outcome.find(c.why), std::string::npos) << outcome;
+  }
+}
+
+TEST_F(SnapshotCorpus, RunsBlockForMissingOrDuplicateShardIsRejected) {
+  const std::vector<std::size_t> runs = blocks_of(image_, kRunsTag);
+  std::vector<std::uint32_t> keys;
+  for (const std::size_t at : blocks_of(image_, kShardTag)) {
+    std::uint32_t key = 0;
+    std::memcpy(&key, image_.data() + at + io::kBlockHeaderBytes, 4);
+    keys.push_back(key);
+  }
+  std::uint32_t missing = 0;
+  while (std::find(keys.begin(), keys.end(), missing) != keys.end()) {
+    ++missing;
+  }
+
+  // A RUNS block keyed to a shard the image does not hold.
+  {
+    std::vector<std::uint8_t> bad = image_;
+    std::memcpy(bad.data() + runs[0] + io::kBlockHeaderBytes, &missing, 4);
+    reseal_block_crc(bad, runs[0]);
+    EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                  .find("RUNS block does not follow its shard"),
+              std::string::npos);
+  }
+  // A second RUNS block for the same shard, first or last.
+  for (const std::size_t at : {runs.front(), runs.back()}) {
+    std::vector<std::uint8_t> bad = image_;
+    const std::vector<std::uint8_t> copy(
+        bad.begin() + static_cast<std::ptrdiff_t>(at),
+        bad.begin() + static_cast<std::ptrdiff_t>(block_end(bad, at)));
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(block_end(bad, at)),
+               copy.begin(), copy.end());
+    const std::string outcome =
+        outcome_of([&] { return load_image(bad, world_); });
+    EXPECT_EQ(outcome.rfind("SnapshotError", 0), 0u) << outcome;
+  }
+  // A shard whose RUNS block is gone.
+  {
+    std::vector<std::uint8_t> bad = image_;
+    bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(runs[0]),
+              bad.begin() + static_cast<std::ptrdiff_t>(block_end(bad, runs[0])));
+    EXPECT_NE(outcome_of([&] { return load_image(bad, world_); })
+                  .find("is missing its RUNS block"),
+              std::string::npos);
   }
 }
 
@@ -554,13 +818,22 @@ TEST(SkewedStore, SummariesAndImageAreThreadInvariant) {
     const ColumnarStore store = world.build(threads);
     expect_same_store(one, store);
     EXPECT_EQ(image_of(store), image) << threads << " threads";
-
-    // Loading refreshes through the same scheduler; the loaded store
-    // saves the same image again.
+  }
+  // Loading schedules the shards largest first on any thread count; the
+  // loaded store — from the v2 image or its v1 form — saves the same
+  // image again.
+  const std::vector<std::uint8_t> v1 = as_v1(image);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     const ColumnarStore loaded = load_snapshot(
         image, &world.fleet, &world.registry, StoreConfig{threads});
     expect_same_store(one, loaded);
     EXPECT_EQ(image_of(loaded), image) << threads << " threads, loaded";
+
+    const ColumnarStore from_v1 = load_snapshot(
+        v1, &world.fleet, &world.registry, StoreConfig{threads});
+    expect_same_store(loaded, from_v1);
+    EXPECT_EQ(image_of(from_v1), image) << threads << " threads, v1";
   }
 }
 
@@ -588,24 +861,125 @@ TEST(SkewedStore, IncrementalRefreshMatchesOneShotBuild) {
 TEST(SkewedStore, CorruptImagesAreRejected) {
   const SkewedWorld world;
   const std::vector<std::uint8_t> image = image_of(world.build(8));
-  const auto load = [&world](const std::vector<std::uint8_t>& bytes) {
-    return load_snapshot(bytes, &world.fleet, &world.registry,
-                         StoreConfig{8});
+  // Every corrupt image fails with the same error at every thread
+  // count: the load reports the failure earliest in the file, whichever
+  // worker met it first.
+  const auto outcome = [&world](const std::vector<std::uint8_t>& bytes) {
+    std::string first;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      const std::string got = outcome_of([&] {
+        return load_snapshot(bytes, &world.fleet, &world.registry,
+                             StoreConfig{threads});
+      });
+      if (first.empty()) {
+        first = got;
+      } else {
+        EXPECT_EQ(got, first) << threads << " threads";
+      }
+    }
+    return first;
   };
-  // A flipped bit anywhere — in the huge shard's columns, a tiny
+  // A flipped bit anywhere — in the huge shard's columns or runs, a tiny
   // shard's prefix or a summary block — fails its block's checksum.
   const std::size_t stride = image.size() / 211 + 1;
   for (std::size_t at = io::kContainerHeaderBytes; at < image.size();
        at += stride) {
     std::vector<std::uint8_t> bad = image;
     bad[at] ^= 0x04;
-    EXPECT_THROW((void)load(bad), io::BlockError) << "flip at byte " << at;
+    EXPECT_EQ(outcome(bad).rfind("BlockError: ", 0), 0u)
+        << "flip at byte " << at;
   }
   for (const std::size_t keep :
        {io::kContainerHeaderBytes + 40, image.size() / 2, image.size() - 1}) {
     const std::vector<std::uint8_t> cut(image.begin(), image.begin() + keep);
-    EXPECT_THROW((void)load(cut), io::BlockError) << "prefix of " << keep;
+    EXPECT_EQ(outcome(cut).rfind("BlockError: ", 0), 0u)
+        << "prefix of " << keep;
   }
+
+  // Content damage under resealed checksums, in the huge shard and in
+  // a tiny one at the far end of the file, alone and together: the
+  // earlier shard's error wins whatever the schedule.
+  const std::vector<std::size_t> shards = blocks_of(image, kShardTag);
+  const std::vector<std::size_t> runs = blocks_of(image, kRunsTag);
+  ASSERT_EQ(shards.size(), 61u);
+  ASSERT_EQ(runs.size(), 61u);
+  std::size_t huge = 0;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (block_payload_len(image, shards[i]) >
+        block_payload_len(image, shards[huge])) {
+      huge = i;
+    }
+  }
+  const std::size_t tiny = huge < shards.size() / 2 ? shards.size() - 1 : 0;
+  const auto forge_rtt = [](std::vector<std::uint8_t>& bytes,
+                            std::size_t shard_at) {
+    const float negative = -1.0f;
+    std::memcpy(bytes.data() + block_end(bytes, shard_at) - sizeof(float),
+                &negative, sizeof(negative));
+    reseal_block_crc(bytes, shard_at);
+  };
+  const auto forge_run = [](std::vector<std::uint8_t>& bytes,
+                            std::size_t runs_at) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(bytes.data() + run_value_at(runs_at, 0), &nan, sizeof(nan));
+    reseal_block_crc(bytes, runs_at);
+  };
+  std::vector<std::uint8_t> huge_rtt = image;
+  forge_rtt(huge_rtt, shards[huge]);
+  std::vector<std::uint8_t> tiny_run = image;
+  forge_run(tiny_run, runs[tiny]);
+  std::vector<std::uint8_t> huge_run = image;
+  forge_run(huge_run, runs[huge]);
+  std::vector<std::uint8_t> both = tiny_run;
+  forge_rtt(both, shards[huge]);
+  std::vector<std::uint8_t> flip_and_run = tiny_run;
+  flip_and_run[block_end(image, shards[huge]) - 1] ^= 0x01;
+
+  const std::string rtt_error = outcome(huge_rtt);
+  EXPECT_NE(rtt_error.find("negative RTT"), std::string::npos) << rtt_error;
+  const std::string run_error = outcome(tiny_run);
+  EXPECT_NE(run_error.find("out of order or holds a NaN"), std::string::npos)
+      << run_error;
+  EXPECT_NE(run_error, outcome(huge_run));
+  EXPECT_EQ(outcome(both), huge < tiny ? rtt_error : run_error);
+  const std::string flipped = outcome(flip_and_run);
+  EXPECT_EQ(flipped.rfind(huge < tiny ? "BlockError: " : "SnapshotError: ", 0),
+            0u)
+      << flipped;
+}
+
+TEST(BlockFileCrc, MatchesTheBitwiseDefinitionAtEveryLengthAndOffset) {
+  // crc32 folds long inputs with carry-less multiplication where the CPU
+  // has it and finishes with the table loop: both must agree with the
+  // bit-at-a-time CRC-32 for every alignment, tail and chained seed.
+  const auto bitwise = [](std::span<const std::uint8_t> bytes,
+                          std::uint32_t seed) {
+    std::uint32_t c = ~seed;
+    for (const std::uint8_t b : bytes) {
+      c ^= b;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+  };
+  std::vector<std::uint8_t> buffer(4096 + 64);
+  std::uint32_t state = 12345;
+  for (std::uint8_t& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(state >> 24);
+  }
+  for (std::size_t len = 0; len < 300; len += (len < 140 ? 1 : 7)) {
+    for (std::size_t offset = 0; offset < 16; offset += 5) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset, len);
+      const std::uint32_t seed = len % 3 == 0 ? 0 : 0x9e3779b9u * len;
+      ASSERT_EQ(io::crc32(bytes, seed), bitwise(bytes, seed))
+          << "length " << len << ", offset " << offset;
+    }
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  EXPECT_EQ(io::crc32(all), bitwise(all, 0));
+  EXPECT_EQ(io::crc32(all.subspan(1000), io::crc32(all.subspan(0, 1000))),
+            io::crc32(all));
 }
 
 TEST(BlockWriterParts, GatheredBlockEqualsTheStagedOne) {
